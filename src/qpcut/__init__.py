@@ -10,9 +10,7 @@ best-first branch and bound with constructive rounding for upper bounds.
 
 from .bnb import (
     BnbConfig,
-    Incumbent,
     Solution,
-    TreeNode,
     order_vertices,
     prune_threshold,
     solve,
@@ -21,15 +19,12 @@ from .bnb import (
 from .bounds import (
     ConvexRelaxation,
     DcShift,
-    Sphere,
     affine_underestimate,
     build_relaxation,
     certified_lower_bound,
     greedy_linear_min,
     sdp_shift,
     sigma_shift,
-    sphere_for_box,
-    sphere_for_box_hyperplane,
 )
 from .graph import (
     GraphFormatError,
@@ -76,7 +71,6 @@ __all__ = [
     "DcShift",
     "FeasibleSet",
     "GraphFormatError",
-    "Incumbent",
     "InfeasibleSubproblemError",
     "KktAssessment",
     "PartitionSpec",
@@ -84,8 +78,6 @@ __all__ = [
     "ReducedQp",
     "Solution",
     "SolveReport",
-    "Sphere",
-    "TreeNode",
     "WeightedGraph",
     "affine_underestimate",
     "brute_force",
@@ -121,7 +113,5 @@ __all__ = [
     "sigma_shift",
     "solve",
     "solve_convex",
-    "sphere_for_box",
-    "sphere_for_box_hyperplane",
     "upper_bound_from",
 ]

@@ -12,8 +12,8 @@ is stationary but not a local minimizer.
 from __future__ import annotations
 
 import heapq
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +27,6 @@ from .rounding import partition_from_binary, round_to_binary
 
 __all__ = [
     "BnbConfig",
-    "TreeNode",
-    "Incumbent",
     "Solution",
     "order_vertices",
     "prune_threshold",
@@ -37,35 +35,19 @@ __all__ = [
 ]
 
 
+EPS = 1e-6  # prune slack, see prune_threshold
+SOLVER_MAX_ITER = 10000  # gradient-projection iterations per relaxation solve
+DESCENT_MAX_ITER = 2000  # nonconvex descent iterations per upper-bound round
+UB_ROUNDS = 4  # descend-round-restart rounds per upper-bound attempt
+
+
 @dataclass
 class BnbConfig:
     bound: str = "sdp"  # 'sdp' or 'eig'
     tol: float = 1e-4
-    eps: float = 1e-6
     max_nodes: int | None = None
     time_limit: float | None = None
-    threads: int = 1
-    ub_every: int = 1  # attempt an upper bound at every k-th created node
-    solver_max_iter: int = 10000
-    descent_max_iter: int = 2000
-    ub_rounds: int = 4
-    reshift_per_node: bool = False
     record_pruned: bool = False
-
-
-@dataclass
-class TreeNode:
-    label: tuple
-    bound: float
-    depth: int
-    relax_x: np.ndarray | None
-    status: str = "open"  # open / branched / pruned / infeasible / leaf
-
-
-@dataclass
-class Incumbent:
-    y: np.ndarray
-    value: float
 
 
 @dataclass
@@ -91,7 +73,7 @@ def order_vertices(graph: WeightedGraph) -> np.ndarray:
     return np.lexsort((np.arange(graph.n), -w))
 
 
-def prune_threshold(upper: float, integral: bool, eps: float = 1e-6) -> float:
+def prune_threshold(upper: float, integral: bool, eps: float = EPS) -> float:
     """Discard a subtree when its bound exceeds this value.
 
     Integral weights allow the stronger cutoff upper - 1 + eps, because any
@@ -112,8 +94,8 @@ def upper_bound_from(reduced: ReducedQp, x_start, config: BnbConfig | None = Non
     x = np.asarray(x_start, dtype=float)
     best_y = None
     best_val = np.inf
-    for _ in range(max(1, config.ub_rounds)):
-        report = descend_nonconvex(reduced, x, tol=config.tol, max_iter=config.descent_max_iter)
+    for _ in range(UB_ROUNDS):
+        report = descend_nonconvex(reduced, x, tol=config.tol, max_iter=DESCENT_MAX_ITER)
         y = round_to_binary(reduced, report.x)
         val = reduced.value(y)
         improved = val < best_val - 1e-12
@@ -143,51 +125,49 @@ def _assemble_full(n: int, order, label, free, y_free) -> np.ndarray:
     return x
 
 
-def _eval_child(qp, shift, order, label, parent_bound, parent_x, config, want_ub):
+def _eval_child(qp, shift, order, label, parent_bound, parent_x, config):
     """Bound one child label; returns a dict consumed by the main loop."""
     try:
         red = reduce(qp, label, order)
     except InfeasibleSubproblemError:
-        return {"kind": "infeasible", "label": label}
+        return {"kind": "infeasible"}
     if red.n == 0:
         value = red.const
         full = _assemble_full(qp.n, order, label, red.free, np.zeros(0))
-        return {"kind": "leaf", "label": label, "bound": value, "cand": (full, value)}
+        return {"kind": "leaf", "bound": value, "cand": (full, value)}
 
-    if config.reshift_per_node:
-        node_shift = sdp_shift(red.quad) if config.bound == "sdp" else sigma_shift(red.quad)
-    else:
-        node_shift = shift
-    rel = build_relaxation(red, node_shift)
-    fset = feasible_set(red)
-    if parent_x is not None and parent_x.shape[0] == red.n + 1:
-        x0 = project(parent_x[1:], fset)
-    else:
-        x0 = project(np.full(red.n, 0.5), fset)
-    report, cert = solve_convex(rel, x0, tol=config.tol, max_iter=config.solver_max_iter)
-    bound = max(cert, parent_bound)
+    rel = build_relaxation(red, shift)
+    # the child's free vertices are its parent's minus the first one
+    x0 = project(parent_x[1:], feasible_set(red))
+    report, cert = solve_convex(rel, x0, tol=config.tol, max_iter=SOLVER_MAX_ITER)
 
-    cand = None
-    if want_ub:
-        y_free, _ = upper_bound_from(red, report.x, config)
-        full = _assemble_full(qp.n, order, label, red.free, y_free)
-        cand = (full, qp.value(full))
+    y_free, _ = upper_bound_from(red, report.x, config)
+    full = _assemble_full(qp.n, order, label, red.free, y_free)
     return {
         "kind": "open",
-        "label": label,
-        "bound": bound,
+        "bound": max(cert, parent_bound),
         "relax_x": report.x,
         "converged": report.converged,
-        "cand": cand,
+        "cand": (full, qp.value(full)),
     }
+
+
+def _check_config(config: BnbConfig) -> None:
+    if config.bound not in ("sdp", "eig"):
+        raise ValueError(f"unknown bound variant {config.bound!r}")
+    if not (math.isfinite(config.tol) and config.tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {config.tol}")
+    if config.max_nodes is not None and not config.max_nodes >= 1:
+        raise ValueError(f"max_nodes must be at least 1, got {config.max_nodes}")
+    if config.time_limit is not None and not config.time_limit >= 0.0:
+        raise ValueError(f"time_limit must be nonnegative, got {config.time_limit}")
 
 
 def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = None) -> Solution:
     """Exact minimum cut with side sizes in [l, u]."""
     config = config or BnbConfig()
     spec.validate_for(graph.n)
-    if config.bound not in ("sdp", "eig"):
-        raise ValueError(f"unknown bound variant {config.bound!r}")
+    _check_config(config)
     t_start = time.perf_counter()
 
     qp = make_qp(graph, spec)
@@ -200,89 +180,63 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
     root_fs = feasible_set(root_red)
     report, root_bound = solve_convex(
         root_rel, project(np.full(qp.n, 0.5), root_fs), tol=config.tol,
-        max_iter=config.solver_max_iter,
+        max_iter=SOLVER_MAX_ITER,
     )
     all_converged = report.converged
     node_count = 1
     node_bounds = [((), root_bound)]
 
     y_free, _ = upper_bound_from(root_red, report.x, config)
-    root_y = _assemble_full(qp.n, order, (), root_red.free, y_free)
-    incumbent = Incumbent(y=root_y, value=qp.value(root_y))
-    incumbent_trace = [(node_count, incumbent.value)]
+    best_y = _assemble_full(qp.n, order, (), root_red.free, y_free)
+    best_val = qp.value(best_y)
+    incumbent_trace = [(node_count, best_val)]
 
-    heap = []
-    seq = 0
-    root = TreeNode(label=(), bound=root_bound, depth=0, relax_x=report.x)
-    heapq.heappush(heap, (root_bound, -root.depth, seq, root))
-    seq += 1
-
+    # heap entries: (bound, -depth, seq, label, relax_x); seq breaks ties FIFO
+    heap = [(root_bound, 0, 0, (), report.x)]
+    seq = 1
     bound_trace = []
     pruned_labels = [] if config.record_pruned else None
     status = "optimal"
-    pool = ThreadPoolExecutor(max_workers=2) if config.threads > 1 else None
 
-    try:
-        while heap:
-            if config.max_nodes is not None and node_count >= config.max_nodes:
-                status = "node_limit"
-                break
-            if config.time_limit is not None and time.perf_counter() - t_start > config.time_limit:
-                status = "time_limit"
-                break
-            bound, _, _, node = heapq.heappop(heap)
-            bound_trace.append(bound)
-            if bound > prune_threshold(incumbent.value, integral, config.eps):
-                node.status = "pruned"
-                break  # best-first: every other open leaf is at least as bad
-            node.status = "branched"
+    while heap:
+        if config.max_nodes is not None and node_count >= config.max_nodes:
+            status = "node_limit"
+            break
+        if config.time_limit is not None and time.perf_counter() - t_start > config.time_limit:
+            status = "time_limit"
+            break
+        bound, _, _, label, relax_x = heapq.heappop(heap)
+        bound_trace.append(bound)
+        if bound > prune_threshold(best_val, integral):
+            break  # best-first: every other open leaf is at least as bad
 
-            labels = [node.label + (0,), node.label + (1,)]
-            want_ub = [(node_count + k) % max(1, config.ub_every) == 0 for k in (1, 2)]
-            args = [
-                (qp, shift, order, labels[k], node.bound, node.relax_x, config, want_ub[k])
-                for k in (0, 1)
-            ]
-            if pool is not None:
-                results = list(pool.map(lambda a: _eval_child(*a), args))
-            else:
-                results = [_eval_child(*a) for a in args]
+        for bit in (0, 1):
+            child = label + (bit,)
+            res = _eval_child(qp, shift, order, child, bound, relax_x, config)
+            node_count += 1
+            if res["kind"] == "infeasible":
+                continue
+            node_bounds.append((child, res["bound"]))
+            full, val = res["cand"]
+            if val < best_val:
+                best_y, best_val = full, val
+                incumbent_trace.append((node_count, val))
+            if res["kind"] == "leaf":
+                continue
+            if not res["converged"]:
+                all_converged = False
+            if res["bound"] > prune_threshold(best_val, integral):
+                if pruned_labels is not None:
+                    pruned_labels.append(child)
+                continue
+            heapq.heappush(heap, (res["bound"], -len(child), seq, child, res["relax_x"]))
+            seq += 1
 
-            for res in results:
-                node_count += 1
-                if res["kind"] == "infeasible":
-                    continue
-                node_bounds.append((res["label"], res["bound"]))
-                if res.get("cand") is not None:
-                    full, val = res["cand"]
-                    if val < incumbent.value:
-                        incumbent = Incumbent(y=full, value=val)
-                        incumbent_trace.append((node_count, val))
-                if res["kind"] == "leaf":
-                    continue
-                if not res["converged"]:
-                    all_converged = False
-                if res["bound"] > prune_threshold(incumbent.value, integral, config.eps):
-                    if pruned_labels is not None:
-                        pruned_labels.append(res["label"])
-                    continue
-                child = TreeNode(
-                    label=res["label"],
-                    bound=res["bound"],
-                    depth=len(res["label"]),
-                    relax_x=res["relax_x"],
-                )
-                heapq.heappush(heap, (child.bound, -child.depth, seq, child))
-                seq += 1
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    v0, v1 = partition_from_binary(incumbent.y)
+    v0, v1 = partition_from_binary(best_y)
     return Solution(
         v0=v0,
         v1=v1,
-        value=float(incumbent.value),
+        value=float(best_val),
         node_count=node_count,
         status=status,
         bound_trace=bound_trace,
@@ -290,7 +244,7 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
         incumbent_trace=incumbent_trace,
         wall_time=time.perf_counter() - t_start,
         root_bound=root_bound,
-        best_x=incumbent.y,
+        best_x=best_y,
         all_relaxations_converged=all_converged,
         pruned_labels=pruned_labels,
     )

@@ -27,12 +27,9 @@ from .qp import FeasibleSet, ReducedQp, feasible_set
 
 __all__ = [
     "DcShift",
-    "Sphere",
     "ConvexRelaxation",
     "sigma_shift",
     "sdp_shift",
-    "sphere_for_box",
-    "sphere_for_box_hyperplane",
     "affine_underestimate",
     "build_relaxation",
     "certified_lower_bound",
@@ -76,19 +73,6 @@ class DcShift:
         return self.lam[np.asarray(idx, dtype=int)]
 
 
-@dataclass(frozen=True)
-class Sphere:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        c = np.array(self.center, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
-        if self.radius < 0.0:
-            raise ValueError("radius must be nonnegative")
-
-
 # ----------------------------------------------------------------------------
 # PSD certification helpers
 # ----------------------------------------------------------------------------
@@ -121,40 +105,15 @@ def _psd_certificate(s: np.ndarray, scale: float):
     return None
 
 
-def _lambda_max_estimate(m: np.ndarray, iters: int = 300, seed: int = 7) -> float:
-    """Rayleigh-quotient estimate of the largest eigenvalue.
-
-    Power iteration on m + shift*I with a Gershgorin shift that makes the top
-    eigenvalue dominant in magnitude.  A Rayleigh quotient never exceeds the
-    true largest eigenvalue, so the certificate loop only ever has to push
-    the shift up, never down.
-    """
-    n = m.shape[0]
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return float(m[0, 0])
-    shift = float(np.abs(m).sum(axis=1).max()) + 1.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = -np.inf
-    for _ in range(iters):
-        w = m @ v + shift * v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-        ray = float(v @ (m @ v))
-        if abs(ray - prev) <= 1e-13 * max(1.0, abs(ray)):
-            return ray
-        prev = ray
-    return float(v @ (m @ v))
+def _lambda_max_estimate(m: np.ndarray) -> float:
+    """Largest eigenvalue; a separate function so tests can feed a bad estimate."""
+    return float(np.linalg.eigvalsh(m)[-1]) if m.shape[0] else 0.0
 
 
-def sigma_shift(m, margin: float = 1e-6) -> DcShift:
+_SIGMA_MARGIN = 1e-6  # relative safety margin on top of lambda_max
+
+
+def sigma_shift(m) -> DcShift:
     """Scalar shift sigma = max(0, lambda_max(M)) with a relative safety margin.
 
     The returned sigma is certified (sigma*I - M factors, possibly with the
@@ -166,16 +125,16 @@ def sigma_shift(m, margin: float = 1e-6) -> DcShift:
     n = m.shape[0]
     scale = max(1.0, float(np.abs(m).sum(axis=1).max())) if n else 1.0
     est = max(0.0, _lambda_max_estimate(m))
-    sigma = est * (1.0 + margin)
+    sigma = est * (1.0 + _SIGMA_MARGIN)
     for _ in range(200):
         tol = _psd_certificate(sigma * np.eye(n) - m, scale)
         if tol is not None:
             return DcShift(lam=np.full(n, sigma), kind="eig", psd_tol=tol)
-        sigma = 2.0 * sigma + margin * scale
+        sigma = 2.0 * sigma + _SIGMA_MARGIN * scale
     raise RuntimeError("could not certify a scalar shift")  # pragma: no cover
 
 
-def sdp_shift(m, gap_tol=None) -> DcShift:
+def sdp_shift(m) -> DcShift:
     """Trace-minimal diagonal shift via a barrier Newton method.
 
     Minimizes sum(lam) subject to Diag(lam) - M PSD.  The nonnegativity
@@ -194,8 +153,7 @@ def sdp_shift(m, gap_tol=None) -> DcShift:
     if n == 0:
         return DcShift(lam=np.zeros(0), kind="sdp", psd_tol=0.0)
     scale = max(1.0, float(np.abs(m).sum(axis=1).max()))
-    if gap_tol is None:
-        gap_tol = min(1e-7 * scale, 5e-7)
+    gap_tol = min(1e-7 * scale, 5e-7)
     barrier_pos = bool(np.min(np.diag(m)) < 0.0)
     lam = np.full(n, float(np.abs(m).sum(axis=1).max()) + 1.0)
     t = 1.0 / scale
@@ -265,61 +223,27 @@ def sdp_shift(m, gap_tol=None) -> DcShift:
 
 
 # ----------------------------------------------------------------------------
-# Smallest enclosing spheres and the affine underestimate
+# Affine underestimate and the convex relaxation
 # ----------------------------------------------------------------------------
 
 
-def sphere_for_box(p, q) -> Sphere:
-    """Smallest sphere containing the box [p, q]: center (p+q)/2, radius ||p-q||/2."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or np.any(p > q):
-        raise ValueError("need p <= q componentwise")
-    return Sphere(center=(p + q) / 2.0, radius=float(np.linalg.norm(p - q)) / 2.0)
-
-
-def sphere_for_box_hyperplane(lam, b: float) -> Sphere:
-    """Sphere containing the scaled unit box sliced by the budget hyperplane.
-
-    For positive weights lam, the set {Lam^(1/2) x : 0 <= x <= 1, sum(x) = b}
-    lies inside the intersection of the box sphere with the hyperplane
-    y . lam^(-1/2) = b.  Projecting the box-sphere center onto that
-    hyperplane gives the lower-dimensional center; the radius follows from
-    the Pythagorean identity.  Raises when the slice is inconsistent
-    (negative squared radius).
-    """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0.0):
-        raise ValueError("lam must be strictly positive")
-    n = lam.shape[0]
-    if not 0.0 <= b <= n:
-        raise ValueError(f"budget b={b} outside [0, {n}]")
-    root = np.sqrt(lam)
-    inv_sum = float((1.0 / lam).sum())
-    offset = (b - 0.5 * n) / inv_sum
-    center = 0.5 * root + offset / root
-    r2 = 0.25 * float(lam.sum()) - (b - 0.5 * n) ** 2 / inv_sum
-    if r2 < -1e-12 * max(1.0, float(lam.sum())):
-        raise ValueError("empty intersection: the budget is inconsistent with the box")
-    return Sphere(center=center, radius=float(np.sqrt(max(r2, 0.0))))
-
-
-def affine_underestimate(shift, fset: FeasibleSet, exact_budget=None):
+def affine_underestimate(shift, fset: FeasibleSet):
     """Best affine underestimate of -x^T Diag(lam) x over the unit box.
 
-    Returns (slope, offset) with slope = -lam and offset 0: the smallest
-    sphere containing Lam^(1/2) [0,1]^n has ||center||^2 = radius^2, so the
-    constant term vanishes, and slicing by an exact budget hyperplane gives
-    the same affine function on the slice (the extra constants cancel).
-    Zero shift entries get zero slope.
+    With y = Lam^(1/2) x the concave part is -||y||^2.  Over any set inside
+    the sphere with center c and radius r, -2 c . y + ||c||^2 - r^2
+    underestimates it with gap r^2 - ||y - c||^2 >= 0, largest (r^2) at the
+    center.  The smallest sphere containing Lam^(1/2) [0,1]^n has
+    c = Lam^(1/2) 1 / 2 and r^2 = sum(lam) / 4 = ||c||^2, so the constant
+    term vanishes and the slope in x is -lam.  Slicing by an exact budget
+    hyperplane gives the same affine function on the slice (the extra
+    constants cancel).  Zero shift entries get zero slope.
     """
     lam = np.asarray(getattr(shift, "lam", shift), dtype=float)
     if lam.shape != (fset.dim,):
         raise ValueError("shift dimension does not match the set")
     if np.any(lam < -1e-12):
         raise ValueError("shift entries must be nonnegative")
-    if exact_budget is not None and not 0.0 <= exact_budget <= fset.dim:
-        raise ValueError("exact budget outside [0, n]")
     return -lam, 0.0
 
 
@@ -354,17 +278,12 @@ class ConvexRelaxation:
 def build_relaxation(reduced: ReducedQp, shift: DcShift) -> ConvexRelaxation:
     """Relaxation of a subproblem from a shift certified for the full matrix.
 
-    The shift restricted to the free coordinates stays certified (principal
-    submatrix of a PSD matrix), so no per-node re-solve is needed.  A shift
-    already sized for the subproblem is used as is.
+    The shift restricted to the free coordinates (in the subproblem's order)
+    stays certified, because a principal submatrix of a PSD matrix is PSD,
+    so no per-node re-solve is needed.
     """
-    if shift.lam.shape[0] == reduced.n:
-        lam = shift.lam
-    else:
-        lam = shift.restrict(reduced.free)
-    fset = feasible_set(reduced)
-    budget = float(reduced.lo) if reduced.lo == reduced.hi else None
-    slope, offset = affine_underestimate(lam, fset, exact_budget=budget)
+    lam = shift.restrict(reduced.free)
+    slope, offset = affine_underestimate(lam, feasible_set(reduced))
     return ConvexRelaxation(
         reduced=reduced, lam=lam, slope=slope, offset=offset, psd_tol=shift.psd_tol
     )

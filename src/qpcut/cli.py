@@ -97,7 +97,6 @@ def cmd_solve(args) -> int:
         tol=args.tol,
         max_nodes=args.max_nodes,
         time_limit=args.time_limit,
-        threads=args.threads,
     )
     sol = solve(graph, spec, config)
     emit(
@@ -238,7 +237,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="relaxation stationarity tolerance (default 1e-4)")
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", help="also write the JSON report to this path")
     p.set_defaults(fn=cmd_solve)
 

@@ -54,6 +54,8 @@ class WeightedGraph:
             raise ValueError(f"weight matrix must be square, got shape {w.shape}")
         if w.shape[0] < 1:
             raise ValueError("graph needs at least one vertex")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if not np.array_equal(w, w.T):
             raise ValueError("weight matrix must be symmetric")
         if np.any(np.diag(w) != 0.0):

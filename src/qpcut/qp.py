@@ -83,6 +83,9 @@ class QpProblem:
             raise ValueError("M must be square")
         if not np.array_equal(m, m.T):
             raise ValueError("M must be symmetric")
+        # integer cut sums stay exact in floating point only below 2**53
+        if not np.abs(m).sum() < 2.0**53:
+            raise ValueError("sum of |M_ij| must be below 2**53 for exact cut values")
         d = np.diag(m)
         if np.any(d < 0.0):
             raise ValueError("diag(M) must be nonnegative")

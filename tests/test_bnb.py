@@ -171,23 +171,6 @@ def test_node_limit_and_time_limit_statuses():
     assert sol2.status == "time_limit"
 
 
-def test_parallel_mode_returns_same_value():
-    g = qc.gen_random(12, 0.7, seed=6)
-    spec = qc.PartitionSpec(5, 7)
-    serial = qc.solve(g, spec, BnbConfig(threads=1))
-    parallel = qc.solve(g, spec, BnbConfig(threads=2))
-    assert serial.value == parallel.value
-    assert parallel.status == "optimal"
-
-
-def test_reshift_per_node_still_exact():
-    g = qc.gen_random(9, 0.6, seed=7)
-    spec = qc.PartitionSpec(4, 5)
-    opt, _ = qc.brute_force(g, spec)
-    sol = qc.solve(g, spec, BnbConfig(reshift_per_node=True))
-    assert sol.status == "optimal" and sol.value == opt
-
-
 def test_degenerate_sizes():
     one = qc.WeightedGraph(np.zeros((1, 1)))
     sol = qc.solve(one, qc.PartitionSpec(0, 1))

@@ -31,6 +31,14 @@ def test_sigma_shift_escalates_past_a_bad_estimate(monkeypatch):
     assert float(np.linalg.eigvalsh(s)[0]) >= -1.1e-8 * np.abs(m).sum(axis=1).max()
 
 
+def test_sigma_shift_stays_near_lambda_max_on_a_large_grid():
+    # a stalled eigenvalue estimate made the certificate loop double sigma here
+    g = qc.gen_toroidal(8, 8, seed=3)
+    m = qc.make_qp(g, qc.PartitionSpec(32, 32)).M
+    lam_max = float(np.linalg.eigvalsh(m)[-1])
+    assert lam_max <= qc.sigma_shift(m).sigma <= lam_max * (1.0 + 1e-5)
+
+
 def test_sigma_shift_is_certified_upper_bound():
     for seed in range(6):
         g = random_graph(9, 0.7, seed)
@@ -77,50 +85,6 @@ def test_sdp_dominance_and_certificates():
             assert float(np.linalg.eigvalsh(s)[0]) >= -1.1e-8 * scale
 
 
-def test_sphere_for_box_examples():
-    s = qc.sphere_for_box(np.zeros(2), np.ones(2))
-    assert np.allclose(s.center, [0.5, 0.5]) and s.radius == pytest.approx(np.sqrt(2) / 2)
-    s0 = qc.sphere_for_box(np.full(3, 0.25), np.full(3, 0.25))
-    assert s0.radius == 0.0
-    assert qc.sphere_for_box(np.zeros(3), np.ones(3)).radius == pytest.approx(np.sqrt(3) / 2)
-
-    rng = np.random.default_rng(6)
-    p, q = -rng.random(4), rng.random(4) + 1.0
-    sphere = qc.sphere_for_box(p, q)
-    for _ in range(500):
-        x = p + rng.random(4) * (q - p)
-        assert np.linalg.norm(x - sphere.center) <= sphere.radius + 1e-12
-
-
-def test_sphere_for_box_hyperplane_examples():
-    n = 4
-    s = qc.sphere_for_box_hyperplane(np.ones(n), n / 2.0)
-    assert np.allclose(s.center, 0.5)
-    assert s.radius == pytest.approx(np.sqrt(n) / 2.0)
-
-    lam = np.array([2.0, 3.0, 2.0])
-    b = 1.5
-    s2 = qc.sphere_for_box_hyperplane(lam, b)
-    inv_sum = (1.0 / lam).sum()
-    want_center = 0.5 * np.sqrt(lam) + ((b - 1.5) / inv_sum) / np.sqrt(lam)
-    want_r = np.sqrt(0.25 * lam.sum() - (b - 1.5) ** 2 / inv_sum)
-    assert np.allclose(s2.center, want_center)
-    assert s2.radius == pytest.approx(want_r)
-
-    # every point of the scaled, sliced box is inside the sphere
-    rng = np.random.default_rng(0)
-    fs = qc.FeasibleSet(np.zeros(3), np.ones(3), b, b)
-    for _ in range(500):
-        x = qc.project(rng.random(3), fs)
-        y = np.sqrt(lam) * x
-        assert np.linalg.norm(y - s2.center) <= s2.radius + 1e-9
-
-    # budget zero collapses the unit-weight sphere to a point
-    assert qc.sphere_for_box_hyperplane(np.ones(n), 0.0).radius == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        qc.sphere_for_box_hyperplane(np.array([1.0, -1.0]), 1.0)
-
-
 def test_affine_underestimate_box():
     n = 5
     fs = qc.FeasibleSet(np.zeros(n), np.ones(n), 0.0, float(n))
@@ -145,6 +109,18 @@ def test_affine_underestimate_sampled_validity():
     for _ in range(1000):
         x = rng.random(3)
         assert slope @ x + offset <= -(x @ (lam * x)) + 1e-12
+
+
+def test_root_relaxation_is_convex_in_branching_order():
+    # the root subproblem lists its coordinates in branching order, so the
+    # shift must be permuted the same way before it certifies the relaxation
+    g = qc.gen_toroidal(4, 5, seed=1)
+    qp = qc.make_qp(g, qc.PartitionSpec(10, 10))
+    red = qc.reduce(qp, (), qc.order_vertices(g))
+    assert not np.array_equal(red.free, np.arange(g.n))
+    rel = qc.build_relaxation(red, qc.sdp_shift(qp.M))
+    scale = max(1.0, np.abs(qp.M).sum(axis=1).max())
+    assert float(np.linalg.eigvalsh(np.diag(rel.lam) - red.quad)[0]) >= -1e-8 * scale
 
 
 def test_build_relaxation_underestimates_and_is_convex():

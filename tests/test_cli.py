@@ -112,11 +112,43 @@ def test_format_override(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_flag(capsys):
-    code, rep = run_cli(
-        capsys, "solve", "--gen", "random:10x0.5", "--seed", "5", "--bisection", "--threads", "2"
-    )
+@pytest.mark.parametrize("w12", ["inf", "nan", "-inf", "3e15", "1e200"])
+def test_solve_rejects_weights_without_exact_cut_sums(tmp_path, capsys, w12):
+    p = tmp_path / "p3.el"
+    p.write_text(f"3 2\n1 2 {w12}\n2 3 1\n")
+    assert main(["solve", "--input", str(p), "--l", "1", "--u", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_solve_just_below_the_exact_range(tmp_path, capsys):
+    p = tmp_path / "p3.el"
+    p.write_text("3 2\n1 2 2.2e15\n2 3 1\n")
+    code, rep = run_cli(capsys, "solve", "--input", str(p), "--l", "1", "--u", "2")
     assert code == 0 and rep["status"] == "optimal"
-    g = qc.gen_random(10, 0.5, 5)
-    opt, _ = qc.brute_force(g, qc.PartitionSpec(5, 5))
-    assert rep["opt_value"] == opt
+    g = qc.load_graph(p)
+    opt, _ = qc.brute_force(g, qc.PartitionSpec(1, 2))
+    assert rep["opt_value"] == opt == 1.0
+    side = np.zeros(3)
+    side[rep["partition"]["v1"]] = 1.0
+    assert qc.cut_weight(g, side) == 1.0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--tol", "0"],
+        ["--tol=-1e-4"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--max-nodes", "0"],
+        ["--max-nodes=-3"],
+        ["--time-limit=-1"],
+        ["--time-limit", "nan"],
+    ],
+)
+def test_solve_rejects_bad_limits(capsys, flags):
+    argv = ["solve", "--gen", "random:8x0.5", "--seed", "1", "--bisection", *flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""

@@ -204,3 +204,6 @@ def test_weighted_graph_rejects_bad_matrices():
         qc.WeightedGraph(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
     with pytest.raises(ValueError):
         qc.WeightedGraph(np.array([[1.0, 0.0], [0.0, 0.0]]))  # self loop
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            qc.WeightedGraph(np.array([[0.0, bad], [bad, 0.0]]))

@@ -19,6 +19,21 @@ def test_make_qp_examples():
     assert np.array_equal(p3.M, np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float))
 
 
+def test_qp_rejects_weights_beyond_exact_cut_sums():
+    def p3(w12):
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = w12
+        w[1, 2] = w[2, 1] = 1.0
+        return qc.WeightedGraph(w)
+
+    spec = qc.PartitionSpec(1, 2)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        qc.make_qp(p3(3e15), spec)  # sum |M_ij| = 1.2e16 + 3
+    assert np.abs(qc.make_qp(p3(2.2e15), spec).M).sum() < 2.0**53
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        qc.QpProblem(M=np.diag([2.0**52, 2.0**52]), l=0, u=2)  # exactly 2**53
+
+
 def test_objective_examples():
     qp = qc.make_qp(path_graph(3), qc.PartitionSpec(1, 1))
     assert qc.objective(qp, np.array([1.0, 0.0, 0.0])) == 1.0
