@@ -172,6 +172,7 @@ def sdp_shift(m) -> DcShift:
             val -= float(np.log(lam_try).sum())
         return val
 
+    overflow = False
     for _outer in range(80):
         for _inner in range(200):
             s = np.diag(lam) - m
@@ -190,6 +191,11 @@ def sdp_shift(m) -> DcShift:
             if dec2 <= 1e-11:
                 break
             f0 = phi(lam, t)
+            if f0 is None:
+                # the slack does not factor at the current iterate (entries
+                # near the float range): stop and go to the repair step
+                overflow = True
+                break
             a = 1.0
             while a > 1e-16:
                 f1 = phi(lam + a * step, t)
@@ -200,6 +206,9 @@ def sdp_shift(m) -> DcShift:
                 warning = True
                 break
             lam = lam + a * step
+        if overflow:
+            warning = True
+            break
         if n / t <= gap_tol:
             break
         t *= 10.0
@@ -269,10 +278,14 @@ class ConvexRelaxation:
         x = np.asarray(x, dtype=float)
         return self.reduced.grad(x) + 2.0 * self.lam * x + self.slope
 
+    def hess_vec(self, d) -> np.ndarray:
+        """Hessian(f_L) d = 2 (Diag(lam) - quad) d."""
+        return 2.0 * (self.lam * d - self.reduced.quad @ d)
+
     def curvature(self, d) -> float:
         """d^T Hessian(f_L) d; nonnegative up to the certificate tolerance."""
         d = np.asarray(d, dtype=float)
-        return float(2.0 * (self.lam @ (d * d) - d @ (self.reduced.quad @ d)))
+        return float(d @ self.hess_vec(d))
 
 
 def build_relaxation(reduced: ReducedQp, shift: DcShift) -> ConvexRelaxation:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -130,6 +131,8 @@ def _root_bound(graph, spec, variant, tol):
 
 
 def cmd_bound(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {args.tol}")
     graph = build_instance(args)
     spec = resolve_spec(args, graph.n)
     lb1 = _root_bound(graph, spec, "eig", args.tol)

@@ -160,14 +160,13 @@ def check_local_min(problem, x, tol=None) -> KktAssessment:
     p1 = check_first_order(problem, x, lam, mu, tol)
     witness = None
 
-    pair = d[:, None] + d[None, :] - 2.0 * q
-
     def worst_pair(rows, cols):
-        # pair >= 0 by construction and exactly 0 on self-pairs, so any
-        # entry above tol is a genuine cross violation
+        # the pair condition Q_ii + Q_jj - 2 Q_ij >= 0 holds by construction
+        # and is exactly 0 on self-pairs, so any entry above tol is a genuine
+        # cross violation; only the block over rows x cols is formed
         if rows.size == 0 or cols.size == 0:
             return None
-        block = pair[np.ix_(rows, cols)]
+        block = d[rows, None] + d[None, cols] - 2.0 * q[np.ix_(rows, cols)]
         k = int(np.argmax(block))
         i, j = divmod(k, cols.size)
         if block[i, j] > tol and int(rows[i]) != int(cols[j]):

@@ -10,6 +10,7 @@ concave).  The stopping rule is the unit-step projected-gradient residual
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,65 +44,88 @@ def project(x, fset: FeasibleSet) -> np.ndarray:
     if fset.is_empty:
         raise ValueError("empty feasible set")
     x = np.asarray(x, dtype=float)
-    y = np.clip(x, fset.p, fset.q)
-    s = y.sum()
+    y = np.minimum(np.maximum(x, fset.p), fset.q)
+    s = np.add.reduce(y)
     if s > fset.hi:
-        y = _clip_to_budget(x, fset.p, fset.q, fset.hi)
-    elif s < fset.lo:
-        y = _clip_to_budget(x, fset.p, fset.q, fset.lo)
+        return _clip_to_budget(x, fset, fset.hi)
+    if s < fset.lo:
+        return _clip_to_budget(x, fset, fset.lo)
     return y
 
 
-def _clip_to_budget(x, p, q, target: float) -> np.ndarray:
-    y = np.clip(x - _budget_shift(x, p, q, target), p, q)
-    # For |x| >> 1 a single ulp of theta already moves the sum by more than
-    # the budget tolerance, so no representable theta is exact; distribute
-    # the residual over the free coordinates in y-space instead, where full
-    # precision is available.
-    for _ in range(4):
-        err = float(y.sum() - target)
-        if abs(err) <= 1e-12 * max(1.0, abs(target)):
-            break
-        free = (y > p) & (y < q)
-        nfree = int(free.sum())
-        if nfree == 0:
-            break
-        y[free] -= err / nfree
-        y = np.clip(y, p, q)
-    return y
+def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
+    """clip(x - theta, p, q) at the root of sum(clip(x - theta, p, q)) = target.
 
-
-def _budget_shift(x, p, q, target: float) -> float:
-    """Root of the nonincreasing map theta -> sum(clip(x - theta, p, q)) = target."""
-    bps = np.unique(np.concatenate([x - q, x - p]))
-    vals = np.clip(x[None, :] - bps[:, None], p, q).sum(axis=1)  # nonincreasing
-    k = int(np.searchsorted(-vals, -target, side="left"))
-    if k >= bps.size:
-        theta = float(bps[-1])  # target == sum(p), reached at the last breakpoint
-    elif vals[k] == target or k == 0:
-        theta = float(bps[k])
+    The clip sum is nonincreasing and piecewise linear in theta, with slope
+    minus the number of free coordinates.  Coordinate i leaves its upper
+    bound at theta = x_i - q_i and reaches its lower bound at x_i - p_i; at
+    the smallest of these 2n breakpoints the sum is sum(q).  Sorting the
+    breakpoints and accumulating +1 / -1 gives the free count on every
+    segment, and the running sum of count * width the drop of the clip sum,
+    so the segment holding the target and the root on it follow from one
+    sort and two cumulative sums: O(n log n), a fixed number of numpy calls.
+    """
+    p, q = fset.p, fset.q
+    bps = (x - fset.bounds).ravel()  # x - q, then x - p
+    order = bps.argsort()
+    bps = bps[order]
+    nfree = fset.steps[order].cumsum()
+    dropped = (nfree[:-1] * (bps[1:] - bps[:-1])).cumsum()  # sum(q) - sum at bps[1:]
+    need = fset.qsum - target
+    k = int(dropped.searchsorted(need))  # first breakpoint after bps[0] with that drop
+    if need <= 0.0:
+        theta = bps[0]  # target == sum(q), met before any coordinate moves
+    elif k == dropped.size:
+        theta = bps[-1]  # target == sum(p), reached at the last breakpoint
     else:
-        # interpolate on the linear segment [bps[k-1], bps[k]]
-        run = bps[k] - bps[k - 1]
-        drop = vals[k - 1] - vals[k]
-        theta = float(bps[k - 1] + (vals[k - 1] - target) * run / drop)
-    # Newton polish: when |x| is huge the interpolation above carries an
-    # absolute error of |x| * eps, which would leak into the budget; the
-    # slope of the clip-sum map is minus the number of strictly free
-    # coordinates, so a few exact steps restore the root to full precision.
+        # linear on [bps[k], bps[k + 1]], where nfree[k] > 0 since the drop grows there
+        theta = bps[k] + (need - (dropped[k - 1] if k else 0.0)) / nfree[k]
+
+    # Exact-sum polish.  When |x| is huge the root above carries an absolute
+    # error of |x| * eps, which would leak into the budget; a few Newton steps
+    # on theta (the slope is minus the free count) restore it while some
+    # coordinate is free.
+    tol = 1e-12 * max(1.0, abs(target))
     for _ in range(5):
-        y = np.clip(x - theta, p, q)
-        err = float(y.sum() - target)
-        if abs(err) <= 1e-12 * max(1.0, abs(target)):
-            break
-        free = int(np.count_nonzero((y > p) & (y < q)))
+        y = np.minimum(np.maximum(x - theta, p), q)
+        err = float(np.add.reduce(y)) - target
+        if abs(err) <= tol:
+            return y
+        free = np.count_nonzero((y > p) & (y < q))
         if free == 0:
             break
         theta += err / free
-    return theta
+    else:
+        y = np.minimum(np.maximum(x - theta, p), q)
+    # Past that, one ulp of theta already moves the sum by more than the
+    # tolerance, so no representable theta is exact; distribute the residual
+    # over the free coordinates in y-space instead, where full precision is
+    # available.  When theta sits on a breakpoint with every coordinate on a
+    # bound, the residual is below the precision of x itself, and the
+    # coordinates that can move toward the target absorb it (some can:
+    # sum(p) <= target <= sum(q)).
+    for _ in range(4):
+        err = float(np.add.reduce(y)) - target
+        if abs(err) <= tol:
+            break
+        free = (y > p) & (y < q)
+        if not free.any():
+            free = y > p if err > 0.0 else y < q
+        y[free] -= err / np.count_nonzero(free)
+        y = np.minimum(np.maximum(y, p), q)
+    return y
 
 
-def _gp_loop(value, grad, curvature, fset, x0, tol, max_iter):
+def _gp_loop(value, grad, hess_vec, fset, x0, tol, max_iter):
+    """Gradient projection from x0; hess_vec(d) is the Hessian times d.
+
+    The gradient is evaluated once at x0 and then carried along exactly as
+    g + t * Hd, so each step costs one Hessian-vector product, which also
+    gives the segment curvature d^T H d and the Barzilai-Borwein step
+    d^T d / d^T H d.  Rounding in the carried gradient can only affect the
+    stopping test and the iterates, never a certified bound:
+    certified_lower_bound recomputes the exact gradient at the final point.
+    """
     x = np.asarray(x0, dtype=float).copy()
     if not fset.contains(x, tol=1e-9):
         raise ValueError("starting point is infeasible")
@@ -113,18 +137,19 @@ def _gp_loop(value, grad, curvature, fset, x0, tol, max_iter):
     iterations = 0
     converged = False
     for iterations in range(max_iter + 1):
-        residual = float(np.linalg.norm(project(x - g, fset) - x))
+        r = project(x - g, fset) - x
+        residual = math.sqrt(r @ r)
         if residual <= tol:
             converged = True
             break
         if iterations == max_iter:
             break
-        xbar = project(x - alpha * g, fset)
-        d = xbar - x
-        if not np.any(d):
+        d = project(x - alpha * g, fset) - x
+        if not d.any():
             break  # fixed point for this steplength: stationary
         a = float(g @ d)  # < 0 by the projection inequality
-        b = curvature(d)
+        hd = hess_vec(d)
+        b = float(d @ hd)
         if b > 0.0:
             t = min(1.0, -a / b)
         else:
@@ -132,14 +157,11 @@ def _gp_loop(value, grad, curvature, fset, x0, tol, max_iter):
             t = 1.0 if a + 0.5 * b <= 0.0 else 0.0
         if t <= 0.0:
             break
-        x_new = x + t * d
-        g_new = grad(x_new)
-        s = x_new - x
-        yv = g_new - g
-        sy = float(s @ yv)
-        alpha = float(s @ s) / sy if sy > 1e-30 else ALPHA_MAX
+        x = x + t * d
+        g = g + t * hd
+        # BB step s.s / s.y with s = t d and y = t Hd
+        alpha = float(d @ d) / b if t * t * b > 1e-30 else ALPHA_MAX
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
-        x, g = x_new, g_new
 
     return SolveReport(
         x=x, value=value(x), residual=residual, iterations=iterations, converged=converged
@@ -156,7 +178,7 @@ def solve_convex(rel: ConvexRelaxation, x0=None, tol: float = 1e-4, max_iter: in
     fset = feasible_set(rel.reduced)
     if x0 is None:
         x0 = project(np.full(rel.reduced.n, 0.5), fset)
-    report = _gp_loop(rel.value, rel.grad, rel.curvature, fset, x0, tol, max_iter)
+    report = _gp_loop(rel.value, rel.grad, rel.hess_vec, fset, x0, tol, max_iter)
     return report, certified_lower_bound(rel, report.x)
 
 
@@ -167,9 +189,10 @@ def descend_nonconvex(problem, x0, tol: float = 1e-4, max_iter: int = 2000) -> S
     picks the better endpoint, so the objective never increases.  Terminates
     at the stationarity residual or the iteration cap.
     """
+    quad = problem.quad
+
+    def hess_vec(d):
+        return -2.0 * (quad @ d)
+
     fset = feasible_set(problem)
-
-    def curvature(d):
-        return float(-2.0 * (d @ (problem.quad @ d)))
-
-    return _gp_loop(problem.value, problem.grad, curvature, fset, x0, tol, max_iter)
+    return _gp_loop(problem.value, problem.grad, hess_vec, fset, x0, tol, max_iter)

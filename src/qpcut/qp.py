@@ -10,6 +10,7 @@ same shape on the free coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,30 +33,54 @@ class InfeasibleSubproblemError(ValueError):
     """The fixed prefix leaves no feasible completion."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeasibleSet:
-    """Box p <= x <= q intersected with lo <= sum(x) <= hi."""
+    """Box p <= x <= q intersected with lo <= sum(x) <= hi.
+
+    Immutable (read-only arrays), so one instance can be shared by every
+    solve on the same subproblem.  What the projection needs besides p and q
+    is computed once here, not on every call: the box sums, emptiness, the
+    bounds stacked as rows [q, p] (so x - bounds holds the 2n breakpoints of
+    the budget shift) and the matching +1 / -1 free-count steps.
+    """
 
     p: np.ndarray
     q: np.ndarray
     lo: float
     hi: float
+    qsum: float = field(init=False, repr=False, compare=False)
+    is_empty: bool = field(init=False, repr=False, compare=False)
+    bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    steps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.q = np.asarray(self.q, dtype=float)
-        if self.p.shape != self.q.shape or self.p.ndim != 1:
+        p = np.array(self.p, dtype=float)
+        q = np.array(self.q, dtype=float)
+        if p.shape != q.shape or p.ndim != 1:
             raise ValueError("p and q must be 1-d arrays of equal length")
-        if np.any(self.p > self.q):
+        if np.any(p > q):
             raise ValueError("need p <= q componentwise")
+        n = p.shape[0]
+        qsum = float(q.sum())
+        lo, hi = float(self.lo), float(self.hi)
+        fields = {
+            "p": p,
+            "q": q,
+            "lo": lo,
+            "hi": hi,
+            "qsum": qsum,
+            "is_empty": lo > qsum or hi < float(p.sum()) or lo > hi,
+            "bounds": np.stack((q, p)),
+            "steps": np.repeat((1.0, -1.0), n),
+        }
+        for name, val in fields.items():
+            if isinstance(val, np.ndarray):
+                val.setflags(write=False)
+            object.__setattr__(self, name, val)
 
     @property
     def dim(self) -> int:
         return self.p.shape[0]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo > self.q.sum() or self.hi < self.p.sum() or self.lo > self.hi
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -124,6 +149,10 @@ class QpProblem:
         x = _check_dim(x, self.n)
         return self.lin - 2.0 * (self.M @ x)
 
+    @cached_property
+    def fset(self) -> FeasibleSet:
+        return _unit_box_budget(self)
+
 
 @dataclass(frozen=True)
 class ReducedQp:
@@ -151,6 +180,15 @@ class ReducedQp:
     def grad(self, x) -> np.ndarray:
         x = _check_dim(x, self.n)
         return self.lin - 2.0 * (self.quad @ x)
+
+    @cached_property
+    def fset(self) -> FeasibleSet:
+        return _unit_box_budget(self)
+
+
+def _unit_box_budget(problem) -> FeasibleSet:
+    n = problem.n
+    return FeasibleSet(p=np.zeros(n), q=np.ones(n), lo=float(problem.lo), hi=float(problem.hi))
 
 
 def _check_dim(x, n):
@@ -220,6 +258,5 @@ def reduce(qp: QpProblem, label, order=None) -> ReducedQp:
 
 
 def feasible_set(problem) -> FeasibleSet:
-    """Unit box plus the problem's budget window."""
-    n = problem.n
-    return FeasibleSet(p=np.zeros(n), q=np.ones(n), lo=float(problem.lo), hi=float(problem.hi))
+    """Unit box plus the problem's budget window, built once per problem and shared."""
+    return problem.fset

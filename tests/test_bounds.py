@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qpcut as qc
+from qpcut import bounds
 from qpcut.qp import InfeasibleSubproblemError, feasible_set
 from helpers import path_graph, random_graph
 
@@ -68,6 +69,23 @@ def test_sdp_shift_handles_negative_diagonal():
     sh = qc.sdp_shift(-np.eye(3))
     assert np.all(sh.lam >= 0.0)
     assert sh.lam.sum() <= 1e-4
+
+
+@pytest.mark.parametrize("w12", [1e200, 1e150, 3e15])
+def test_sdp_shift_near_the_float_range_repairs_with_warning(w12):
+    # path 1-2-3 with a huge first edge, outside what QpProblem accepts: the
+    # barrier's Cholesky fails at the Newton iterate, and the shift must come
+    # from the repair step, flagged and still certified
+    w = np.zeros((3, 3))
+    w[0, 1] = w[1, 0] = w12
+    w[1, 2] = w[2, 1] = 1.0
+    g = qc.WeightedGraph(w)
+    m = g.weights + np.diag(qc.build_diagonal_shift(g))
+    with np.errstate(over="ignore"):
+        sh = qc.sdp_shift(m)
+    assert isinstance(sh, qc.DcShift) and sh.kind == "sdp" and sh.warning
+    scale = max(1.0, float(np.abs(m).sum(axis=1).max()))
+    assert bounds._psd_certificate(np.diag(sh.lam) - m, scale) is not None
 
 
 def test_sdp_dominance_and_certificates():

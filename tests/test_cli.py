@@ -152,3 +152,11 @@ def test_solve_rejects_bad_limits(capsys, flags):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_bound_rejects_bad_tol(capsys, tol):
+    argv = ["bound", "--gen", "random:8x0.5", "--seed", "1", "--bisection", f"--tol={tol}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""

@@ -124,3 +124,35 @@ def test_descend_nonconvex_stationary_binary_start():
     out = qc.descend_nonconvex(red, np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(out.x, [1.0, 0.0, 0.0])
     assert out.value == 1.0
+
+
+def exact_residual(grad, x, fs):
+    """Stationarity residual ||P(x - grad(x)) - x|| from the exact gradient."""
+    return float(np.linalg.norm(qc.project(x - grad(x), fs) - x))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_carried_gradient_cannot_fake_convergence(seed):
+    # the loop updates g <- g + t Hd instead of re-evaluating the gradient; a
+    # converged report must still be stationary to tol at the exact gradient
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 14))
+    g = random_graph(n, float(rng.uniform(0.3, 1.0)), seed)
+    lo = int(rng.integers(0, n // 2 + 1))
+    qp = qc.make_qp(g, qc.PartitionSpec(lo, int(rng.integers(lo, n + 1))))
+    checked = 0
+    for shift in (qc.sdp_shift(qp.M), qc.sigma_shift(qp.M)):
+        for label in ((), (1,), (0, 1)):
+            red = qc.reduce(qp, label)
+            fs = feasible_set(red)
+            rel = qc.build_relaxation(red, shift)
+            for tol in (1e-4, 1e-8, 1e-12):
+                report, _ = qc.solve_convex(rel, tol=tol, max_iter=10**4)
+                if report.converged:
+                    assert exact_residual(rel.grad, report.x, fs) <= tol
+                    checked += 1
+                out = qc.descend_nonconvex(red, report.x, tol=tol, max_iter=10**4)
+                if out.converged:
+                    assert exact_residual(red.grad, out.x, fs) <= tol
+                    checked += 1
+    assert checked >= 18
