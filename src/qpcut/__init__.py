@@ -17,7 +17,6 @@ from .bnb import (
     upper_bound_from,
 )
 from .bounds import (
-    ConvexRelaxation,
     DcShift,
     affine_underestimate,
     build_relaxation,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BnbConfig",
-    "ConvexRelaxation",
     "DcShift",
     "FeasibleSet",
     "GraphFormatError",

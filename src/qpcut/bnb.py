@@ -47,7 +47,6 @@ class BnbConfig:
     tol: float = 1e-4
     max_nodes: int | None = None
     time_limit: float | None = None
-    record_pruned: bool = False
 
 
 @dataclass
@@ -64,7 +63,6 @@ class Solution:
     root_bound: float = float("-inf")
     best_x: np.ndarray | None = None
     all_relaxations_converged: bool = True
-    pruned_labels: list | None = None
 
 
 def order_vertices(graph: WeightedGraph) -> np.ndarray:
@@ -125,8 +123,8 @@ def _assemble_full(n: int, order, label, free, y_free) -> np.ndarray:
     return x
 
 
-def _eval_child(qp, shift, order, label, parent_bound, parent_x, config):
-    """Bound one child label; returns a dict consumed by the main loop."""
+def _eval_node(qp, shift, order, label, parent_bound, x_start, config):
+    """Bound one node; x_start (projected here) starts its relaxation solve."""
     try:
         red = reduce(qp, label, order)
     except InfeasibleSubproblemError:
@@ -137,8 +135,7 @@ def _eval_child(qp, shift, order, label, parent_bound, parent_x, config):
         return {"kind": "leaf", "bound": value, "cand": (full, value)}
 
     rel = build_relaxation(red, shift)
-    # the child's free vertices are its parent's minus the first one
-    x0 = project(parent_x[1:], feasible_set(red))
+    x0 = project(x_start, feasible_set(red))
     report, cert = solve_convex(rel, x0, tol=config.tol, max_iter=SOLVER_MAX_ITER)
 
     y_free, _ = upper_bound_from(red, report.x, config)
@@ -175,30 +172,41 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
     integral = graph.is_integral
     shift = sdp_shift(qp.M) if config.bound == "sdp" else sigma_shift(qp.M)
 
-    root_red = reduce(qp, (), order)
-    root_rel = build_relaxation(root_red, shift)
-    root_fs = feasible_set(root_red)
-    report, root_bound = solve_convex(
-        root_rel, project(np.full(qp.n, 0.5), root_fs), tol=config.tol,
-        max_iter=SOLVER_MAX_ITER,
-    )
-    all_converged = report.converged
-    node_count = 1
-    node_bounds = [((), root_bound)]
-
-    y_free, _ = upper_bound_from(root_red, report.x, config)
-    best_y = _assemble_full(qp.n, order, (), root_red.free, y_free)
-    best_val = qp.value(best_y)
-    incumbent_trace = [(node_count, best_val)]
-
-    # heap entries: (bound, -depth, seq, label, relax_x); seq breaks ties FIFO
-    heap = [(root_bound, 0, 0, (), report.x)]
-    seq = 1
+    node_count = 0
+    node_bounds = []
+    incumbent_trace = []
     bound_trace = []
-    pruned_labels = [] if config.record_pruned else None
+    best_y, best_val = None, math.inf
+    all_converged = True
+    # heap entries: (bound, -depth, seq, label, relax_x); seq breaks ties FIFO
+    heap = []
+    seq = 0
     status = "optimal"
+    # (label, parent bound, start point); the root starts at the center
+    batch = [((), -math.inf, np.full(qp.n, 0.5))]
 
-    while heap:
+    while True:
+        for label, parent_bound, x_start in batch:
+            res = _eval_node(qp, shift, order, label, parent_bound, x_start, config)
+            node_count += 1
+            if res["kind"] == "infeasible":
+                continue
+            node_bounds.append((label, res["bound"]))
+            full, val = res["cand"]
+            if val < best_val:
+                best_y, best_val = full, val
+                incumbent_trace.append((node_count, val))
+            if res["kind"] == "leaf":
+                continue
+            if not res["converged"]:
+                all_converged = False
+            if res["bound"] > prune_threshold(best_val, integral):
+                continue
+            heapq.heappush(heap, (res["bound"], -len(label), seq, label, res["relax_x"]))
+            seq += 1
+
+        if not heap:
+            break
         if config.max_nodes is not None and node_count >= config.max_nodes:
             status = "node_limit"
             break
@@ -209,28 +217,8 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
         bound_trace.append(bound)
         if bound > prune_threshold(best_val, integral):
             break  # best-first: every other open leaf is at least as bad
-
-        for bit in (0, 1):
-            child = label + (bit,)
-            res = _eval_child(qp, shift, order, child, bound, relax_x, config)
-            node_count += 1
-            if res["kind"] == "infeasible":
-                continue
-            node_bounds.append((child, res["bound"]))
-            full, val = res["cand"]
-            if val < best_val:
-                best_y, best_val = full, val
-                incumbent_trace.append((node_count, val))
-            if res["kind"] == "leaf":
-                continue
-            if not res["converged"]:
-                all_converged = False
-            if res["bound"] > prune_threshold(best_val, integral):
-                if pruned_labels is not None:
-                    pruned_labels.append(child)
-                continue
-            heapq.heappush(heap, (res["bound"], -len(child), seq, child, res["relax_x"]))
-            seq += 1
+        # a child's free vertices are its parent's minus the first one
+        batch = [(label + (bit,), bound, relax_x[1:]) for bit in (0, 1)]
 
     v0, v1 = partition_from_binary(best_y)
     return Solution(
@@ -243,8 +231,7 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
         node_bounds=node_bounds,
         incumbent_trace=incumbent_trace,
         wall_time=time.perf_counter() - t_start,
-        root_bound=root_bound,
+        root_bound=node_bounds[0][1],  # a validated spec leaves the root feasible
         best_x=best_y,
         all_relaxations_converged=all_converged,
-        pruned_labels=pruned_labels,
     )

@@ -19,15 +19,14 @@ sound regardless of how accurately the inner solvers converged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qp import FeasibleSet, ReducedQp, feasible_set
+from .qp import FeasibleSet, ReducedQp
 
 __all__ = [
     "DcShift",
-    "ConvexRelaxation",
     "sigma_shift",
     "sdp_shift",
     "affine_underestimate",
@@ -256,49 +255,26 @@ def affine_underestimate(shift, fset: FeasibleSet):
     return -lam, 0.0
 
 
-@dataclass(frozen=True)
-class ConvexRelaxation:
-    """Convex surrogate f_L(x) = f(x) + x^T Diag(lam) x + slope . x + offset.
+def build_relaxation(reduced: ReducedQp, shift: DcShift) -> ReducedQp:
+    """Convex relaxation of a subproblem, as a subproblem of the same form.
 
-    f_L <= f on the box because slope . x + offset underestimates the
-    concave part, and f_L is convex because the shift is certified.
-    """
-
-    reduced: ReducedQp
-    lam: np.ndarray
-    slope: np.ndarray
-    offset: float
-    psd_tol: float
-
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(self.reduced.value(x) + x @ (self.lam * x) + self.slope @ x + self.offset)
-
-    def grad(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.reduced.grad(x) + 2.0 * self.lam * x + self.slope
-
-    def hess_vec(self, d) -> np.ndarray:
-        """Hessian(f_L) d = 2 (Diag(lam) - quad) d."""
-        return 2.0 * (self.lam * d - self.reduced.quad @ d)
-
-    def curvature(self, d) -> float:
-        """d^T Hessian(f_L) d; nonnegative up to the certificate tolerance."""
-        d = np.asarray(d, dtype=float)
-        return float(d @ self.hess_vec(d))
-
-
-def build_relaxation(reduced: ReducedQp, shift: DcShift) -> ConvexRelaxation:
-    """Relaxation of a subproblem from a shift certified for the full matrix.
-
-    The shift restricted to the free coordinates (in the subproblem's order)
-    stays certified, because a principal submatrix of a PSD matrix is PSD,
-    so no per-node re-solve is needed.
+    The surrogate f_L(x) = f(x) + x^T Diag(lam) x + slope . x + offset, with
+    (slope, offset) the affine underestimate of -x^T Diag(lam) x, is
+    f_L <= f on the feasible set and is again a quadratic
+    (const + offset) + (lin + slope) . x - x^T (quad - Diag(lam)) x
+    on the same coordinates, window and feasible set.  Its Hessian
+    2 (Diag(lam) - quad) is PSD: lam is the shift certified for the full
+    matrix, restricted to the free coordinates (in the subproblem's order),
+    and a principal submatrix of a PSD matrix is PSD, so no per-node
+    re-solve is needed.  certified_lower_bound recomputes the exact gradient
+    at the final point, so a loosely converged solve costs tightness, never
+    soundness.
     """
     lam = shift.restrict(reduced.free)
-    slope, offset = affine_underestimate(lam, feasible_set(reduced))
-    return ConvexRelaxation(
-        reduced=reduced, lam=lam, slope=slope, offset=offset, psd_tol=shift.psd_tol
+    slope, offset = affine_underestimate(lam, reduced.fset)
+    return replace(
+        reduced, quad=reduced.quad - np.diag(lam), lin=reduced.lin + slope,
+        const=reduced.const + offset,
     )
 
 
@@ -331,18 +307,19 @@ def greedy_linear_min(c, lo: int, hi: int) -> np.ndarray:
     return y
 
 
-def certified_lower_bound(rel: ConvexRelaxation, x) -> float:
+def certified_lower_bound(rel: ReducedQp, x) -> float:
     """Sound lower bound on the subproblem from any feasible point.
 
-    Convexity gives f_L(y) >= f_L(x) + grad(x) . (y - x); minimizing the
-    right side exactly over the feasible set (a linear program solved by the
-    greedy rule) yields a bound below min f_L, hence below the best binary
-    completion, no matter how inexact x is as a relaxation solution.
+    rel is the convex relaxation from build_relaxation: its Hessian is PSD by
+    the restricted certificate, so f_L(y) >= f_L(x) + grad(x) . (y - x).
+    Minimizing the right side exactly over the feasible set (a linear
+    program solved by the greedy rule) yields a bound below min f_L, hence
+    below the best binary completion, no matter how inexact x is as a
+    relaxation solution; the gradient is recomputed exactly at x.
     """
     x = np.asarray(x, dtype=float)
-    fset = feasible_set(rel.reduced)
-    if not fset.contains(x, tol=1e-7):
+    if not rel.fset.contains(x, tol=1e-7):
         raise ValueError("the reference point is infeasible")
     g = rel.grad(x)
-    y = greedy_linear_min(g, rel.reduced.lo, rel.reduced.hi)
+    y = greedy_linear_min(g, rel.lo, rel.hi)
     return float(rel.value(x) + g @ (y - x))

@@ -42,7 +42,7 @@ def build_instance(args) -> WeightedGraph:
         return generate_from_spec(args.gen, getattr(args, "seed", 0))
     if getattr(args, "input", None):
         return load_graph(args.input, format=getattr(args, "format", None))
-    raise SystemExit("either --input or --gen is required")
+    raise ValueError("either --input or --gen is required")
 
 
 def generate_from_spec(spec: str, seed: int) -> WeightedGraph:
@@ -58,15 +58,15 @@ def generate_from_spec(spec: str, seed: int) -> WeightedGraph:
         if kind == "debruijn":
             return gen_debruijn(int(rest))
     except (ValueError, TypeError) as exc:
-        raise SystemExit(f"bad --gen spec {spec!r}: {exc}") from None
-    raise SystemExit(f"unknown generator {kind!r} (expected one of: {GEN_KINDS})")
+        raise ValueError(f"bad --gen spec {spec!r}: {exc}") from None
+    raise ValueError(f"unknown generator {kind!r} (expected one of: {GEN_KINDS})")
 
 
 def resolve_spec(args, n: int) -> PartitionSpec:
     if getattr(args, "bisection", False):
         return PartitionSpec(l=n // 2, u=(n + 1) // 2)
     if args.l is None or args.u is None:
-        raise SystemExit("provide --l and --u, or --bisection")
+        raise ValueError("provide --l and --u, or --bisection")
     return PartitionSpec(l=args.l, u=args.u)
 
 
@@ -176,7 +176,7 @@ def cmd_check(args) -> int:
     qp = make_qp(graph, spec)
     x = np.loadtxt(args.point, ndmin=1, dtype=float)
     if x.shape != (graph.n,):
-        raise SystemExit(f"point file holds {x.size} values, expected {graph.n}")
+        raise ValueError(f"point file holds {x.size} values, expected {graph.n}")
     assessment = check_strict(qp, x)
     move = descent_direction(qp, x, assessment)
     report = {

@@ -1,7 +1,9 @@
 """Projection onto box-plus-budget sets and gradient projection solvers.
 
 The same iteration drives both the convex relaxation solve and the nonconvex
-descent: x_{k+1} = x_k + t* (P(x_k - alpha_k g_k) - x_k), where alpha_k is a
+descent, since both minimize a quadratic const + lin . x - x^T quad x over
+the unit box and budget window:
+x_{k+1} = x_k + t* (P(x_k - alpha_k g_k) - x_k), where alpha_k is a
 safeguarded Barzilai-Borwein steplength and t* minimizes the quadratic
 exactly on the segment (best endpoint when the segment quadratic is
 concave).  The stopping rule is the unit-step projected-gradient residual
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ConvexRelaxation, certified_lower_bound
-from .qp import FeasibleSet, feasible_set
+from .bounds import certified_lower_bound
+from .qp import FeasibleSet, ReducedQp
 
 __all__ = ["SolveReport", "project", "solve_convex", "descend_nonconvex"]
 
@@ -116,20 +118,23 @@ def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
     return y
 
 
-def _gp_loop(value, grad, hess_vec, fset, x0, tol, max_iter):
-    """Gradient projection from x0; hess_vec(d) is the Hessian times d.
+def _gp_loop(problem, x0, tol, max_iter):
+    """Gradient projection on a quadratic problem from x0.
 
-    The gradient is evaluated once at x0 and then carried along exactly as
-    g + t * Hd, so each step costs one Hessian-vector product, which also
-    gives the segment curvature d^T H d and the Barzilai-Borwein step
-    d^T d / d^T H d.  Rounding in the carried gradient can only affect the
-    stopping test and the iterates, never a certified bound:
-    certified_lower_bound recomputes the exact gradient at the final point.
+    The Hessian of const + lin . x - x^T quad x is -2 quad.  The gradient is
+    evaluated once at x0 and then carried along exactly as g + t * Hd, so
+    each step costs one matrix-vector product, which also gives the segment
+    curvature d^T H d and the Barzilai-Borwein step d^T d / d^T H d.
+    Rounding in the carried gradient can only affect the stopping test and
+    the iterates, never a certified bound: certified_lower_bound recomputes
+    the exact gradient at the final point.
     """
+    fset = problem.fset
+    quad = problem.quad
     x = np.asarray(x0, dtype=float).copy()
     if not fset.contains(x, tol=1e-9):
         raise ValueError("starting point is infeasible")
-    g = grad(x)
+    g = problem.grad(x)
     gmax = float(np.abs(g).max()) if g.size else 0.0
     alpha = 1.0 if gmax == 0.0 else 1.0 / gmax
     alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
@@ -148,7 +153,7 @@ def _gp_loop(value, grad, hess_vec, fset, x0, tol, max_iter):
         if not d.any():
             break  # fixed point for this steplength: stationary
         a = float(g @ d)  # < 0 by the projection inequality
-        hd = hess_vec(d)
+        hd = -2.0 * (quad @ d)
         b = float(d @ hd)
         if b > 0.0:
             t = min(1.0, -a / b)
@@ -164,21 +169,20 @@ def _gp_loop(value, grad, hess_vec, fset, x0, tol, max_iter):
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
 
     return SolveReport(
-        x=x, value=value(x), residual=residual, iterations=iterations, converged=converged
+        x=x, value=problem.value(x), residual=residual, iterations=iterations, converged=converged
     )
 
 
-def solve_convex(rel: ConvexRelaxation, x0=None, tol: float = 1e-4, max_iter: int = 10000):
+def solve_convex(rel: ReducedQp, x0=None, tol: float = 1e-4, max_iter: int = 10000):
     """Minimize the convex relaxation; returns (report, certified lower bound).
 
     The objective is monotone nonincreasing across accepted steps, and the
     returned bound is certified at the final iterate, so it stays sound even
     when the iteration cap is hit.
     """
-    fset = feasible_set(rel.reduced)
     if x0 is None:
-        x0 = project(np.full(rel.reduced.n, 0.5), fset)
-    report = _gp_loop(rel.value, rel.grad, rel.hess_vec, fset, x0, tol, max_iter)
+        x0 = project(np.full(rel.n, 0.5), rel.fset)
+    report = _gp_loop(rel, x0, tol, max_iter)
     return report, certified_lower_bound(rel, report.x)
 
 
@@ -189,10 +193,4 @@ def descend_nonconvex(problem, x0, tol: float = 1e-4, max_iter: int = 2000) -> S
     picks the better endpoint, so the objective never increases.  Terminates
     at the stationarity residual or the iteration cap.
     """
-    quad = problem.quad
-
-    def hess_vec(d):
-        return -2.0 * (quad @ d)
-
-    fset = feasible_set(problem)
-    return _gp_loop(problem.value, problem.grad, hess_vec, fset, x0, tol, max_iter)
+    return _gp_loop(problem, x0, tol, max_iter)

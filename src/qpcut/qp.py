@@ -160,6 +160,9 @@ class ReducedQp:
 
     f(x) = const + lin . x - x^T quad x, with the remaining budget window
     [lo, hi] (raw values; they may extend beyond what the box can reach).
+    fset is built once here when not given, and dataclasses.replace passes
+    it on, so a problem derived on the same coordinates and window (the node
+    relaxation) shares it.
     """
 
     free: np.ndarray
@@ -168,6 +171,11 @@ class ReducedQp:
     const: float
     lo: int
     hi: int
+    fset: FeasibleSet | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.fset is None:
+            object.__setattr__(self, "fset", _unit_box_budget(self))
 
     @property
     def n(self) -> int:
@@ -180,10 +188,6 @@ class ReducedQp:
     def grad(self, x) -> np.ndarray:
         x = _check_dim(x, self.n)
         return self.lin - 2.0 * (self.quad @ x)
-
-    @cached_property
-    def fset(self) -> FeasibleSet:
-        return _unit_box_budget(self)
 
 
 def _unit_box_budget(problem) -> FeasibleSet:

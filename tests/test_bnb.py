@@ -129,12 +129,16 @@ def test_pruned_subtrees_contain_nothing_better():
     g = qc.gen_random(10, 0.5, seed=8)
     n = g.n
     spec = qc.PartitionSpec(4, 6)
-    cfg = BnbConfig(record_pruned=True)
-    sol = qc.solve(g, spec, cfg)
+    sol = qc.solve(g, spec)
     assert sol.status == "optimal"
     order = qc.order_vertices(g)
     qp = qc.make_qp(g, spec)
-    for label in sol.pruned_labels:
+    # the incumbent only falls, so every child pruned during the search is
+    # above the final threshold; on this instance that is 36 labels
+    cutoff = qc.prune_threshold(sol.value, g.is_integral)
+    pruned = [label for label, bound in sol.node_bounds if bound > cutoff]
+    assert len(pruned) == 36
+    for label in pruned:
         depth = len(label)
         best_in_subtree = np.inf
         for tail in itertools.product((0, 1), repeat=n - depth):

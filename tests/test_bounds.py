@@ -138,7 +138,7 @@ def test_root_relaxation_is_convex_in_branching_order():
     assert not np.array_equal(red.free, np.arange(g.n))
     rel = qc.build_relaxation(red, qc.sdp_shift(qp.M))
     scale = max(1.0, np.abs(qp.M).sum(axis=1).max())
-    assert float(np.linalg.eigvalsh(np.diag(rel.lam) - red.quad)[0]) >= -1e-8 * scale
+    assert float(np.linalg.eigvalsh(-rel.quad)[0]) >= -1e-8 * scale
 
 
 def test_build_relaxation_underestimates_and_is_convex():
@@ -155,7 +155,7 @@ def test_build_relaxation_underestimates_and_is_convex():
                     x = rng.random(red.n)
                     assert rel.value(x) <= red.value(x) + 1e-8
                     d = rng.standard_normal(red.n)
-                    assert rel.curvature(d) >= -1e-7 * max(1.0, d @ d)
+                    assert -2.0 * (d @ rel.quad @ d) >= -1e-7 * max(1.0, d @ d)
                 y = (rng.random(red.n) < 0.5).astype(float)
                 assert rel.value(y) == pytest.approx(red.value(y), abs=1e-9)
 
@@ -169,7 +169,7 @@ def test_underestimate_validity_dense_sampling():
         rel = qc.build_relaxation(red, shift)
         rng = np.random.default_rng(12)
         x = rng.random((10000, 9))
-        lam = rel.lam
+        lam = shift.restrict(red.free)
         # f_L - f = x^T Lam x - lam . x, vectorized over all samples
         diff = (x * x) @ lam - x @ lam
         assert diff.max() <= 1e-8
@@ -191,15 +191,16 @@ def test_root_bound_closed_form_at_the_center():
 
 def test_scalar_relaxation_formula():
     qp = p3_qp(1, 2)
-    shift = qc.sigma_shift(qp.M)
     red = qc.reduce(qp, ())
-    rel = qc.build_relaxation(red, shift)
     rng = np.random.default_rng(3)
-    s = shift.sigma
-    for _ in range(50):
-        x = rng.random(3)
-        want = qc.objective(qp, x) + s * (x @ x) - s * x.sum()
-        assert rel.value(x) == pytest.approx(want, abs=1e-10)
+    for shift in (qc.sigma_shift(qp.M), qc.sdp_shift(qp.M)):
+        rel = qc.build_relaxation(red, shift)
+        assert rel.fset is red.fset
+        lam = shift.lam
+        for _ in range(50):
+            x = rng.random(3)
+            want = qc.objective(qp, x) + x @ (lam * x) - lam @ x
+            assert rel.value(x) == pytest.approx(want, abs=1e-10)
 
 
 def test_greedy_linear_min_examples():

@@ -160,3 +160,22 @@ def test_bound_rejects_bad_tol(capsys, tol):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--l", "1", "--u", "1"],  # neither --input nor --gen
+        ["solve", "--gen", "random:8xdense", "--bisection"],  # bad --gen spec
+        ["solve", "--gen", "lattice:3x3", "--bisection"],  # unknown generator
+        ["solve", "--gen", "random:8x0.5"],  # neither --l/--u nor --bisection
+        ["check", "--gen", "random:8x0.5", "--bisection", "--point", "{short}"],
+    ],
+    ids=["no-input", "bad-gen", "unknown-gen", "no-budget", "short-point"],
+)
+def test_bad_input_prints_error_and_exits_1(tmp_path, capsys, argv):
+    short = tmp_path / "x.txt"
+    short.write_text("0\n1\n")  # two values for an 8-vertex graph
+    assert main([a.format(short=short) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""

@@ -84,7 +84,7 @@ def test_solve_convex_monotone_and_stopping():
         g = random_graph(10, 0.6, seed)
         qp = qc.make_qp(g, qc.PartitionSpec(3, 7))
         rel = relaxation(qp, kind="sdp")
-        fs = feasible_set(rel.reduced)
+        fs = feasible_set(rel)
         x = qc.project(rng.random(10) * 2 - 0.5, fs)
         values = []
         for iters in range(0, 40, 5):
