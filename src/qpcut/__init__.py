@@ -54,10 +54,7 @@ from .qp import (
     InfeasibleSubproblemError,
     QpProblem,
     ReducedQp,
-    feasible_set,
-    gradient,
     make_qp,
-    objective,
     reduce,
 )
 from .rounding import partition_from_binary, round_to_binary
@@ -88,18 +85,15 @@ __all__ = [
     "cut_weight",
     "descend_nonconvex",
     "descent_direction",
-    "feasible_set",
     "gen_debruijn",
     "gen_mixed",
     "gen_planar",
     "gen_random",
     "gen_toroidal",
-    "gradient",
     "greedy_linear_min",
     "load_graph",
     "make_qp",
     "multipliers",
-    "objective",
     "order_vertices",
     "partition_from_binary",
     "project",

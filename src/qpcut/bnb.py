@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import build_relaxation, sdp_shift, sigma_shift
+from .bounds import DcShift, build_relaxation, sdp_shift, sigma_shift
 from .graph import PartitionSpec, WeightedGraph
 from .optimality import check_local_min, descent_direction
 from .projgrad import descend_nonconvex, project, solve_convex
-from .qp import InfeasibleSubproblemError, ReducedQp, feasible_set, make_qp, reduce
+from .qp import InfeasibleSubproblemError, ReducedQp, make_qp, reduce
 from .rounding import partition_from_binary, round_to_binary
 
 __all__ = [
@@ -63,6 +63,7 @@ class Solution:
     root_bound: float = float("-inf")
     best_x: np.ndarray | None = None
     all_relaxations_converged: bool = True
+    shift: DcShift | None = None  # the certified shift every node bound used
 
 
 def order_vertices(graph: WeightedGraph) -> np.ndarray:
@@ -135,7 +136,7 @@ def _eval_node(qp, shift, order, label, parent_bound, x_start, config):
         return {"kind": "leaf", "bound": value, "cand": (full, value)}
 
     rel = build_relaxation(red, shift)
-    x0 = project(x_start, feasible_set(red))
+    x0 = project(x_start, red.fset)
     report, cert = solve_convex(rel, x0, tol=config.tol, max_iter=SOLVER_MAX_ITER)
 
     y_free, _ = upper_bound_from(red, report.x, config)
@@ -234,4 +235,5 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
         root_bound=node_bounds[0][1],  # a validated spec leaves the root feasible
         best_x=best_y,
         all_relaxations_converged=all_converged,
+        shift=shift,
     )

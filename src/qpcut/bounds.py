@@ -12,13 +12,15 @@ over the feasible set; over the unit box (with or without an exact budget
 hyperplane) that underestimate is -lam . x with zero offset, because the
 smallest enclosing sphere of the scaled box has ||center||^2 = radius^2.
 
-Every shift is certified positive semidefinite by an attempted Cholesky
-factorization (with a recorded tolerance shift), so the resulting bounds are
-sound regardless of how accurately the inner solvers converged.
+Both shifts end in one certification tail (a uniform repair lift, then an
+attempted Cholesky factorization with a recorded tolerance shift), so the
+resulting bounds are sound regardless of how accurately the inner solvers
+converged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,8 +45,8 @@ class DcShift:
     kind 'eig' stores a constant shift (lam = sigma * ones); kind 'sdp'
     stores the trace-minimized diagonal.  psd_tol is the tolerance shift at
     which Diag(lam) - M passed Cholesky (0.0 means it factored exactly).
-    warning is set when the inner SDP solver did not converge and the
-    returned shift comes from the repaired best iterate (still certified).
+    warning is set when the SDP barrier method stalled and the returned
+    shift comes from repairing its last iterate (still certified).
     """
 
     lam: np.ndarray
@@ -109,125 +111,115 @@ def _lambda_max_estimate(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[-1]) if m.shape[0] else 0.0
 
 
+def _certified(m: np.ndarray, lam: np.ndarray, kind: str, warning: bool = False) -> DcShift:
+    """Certify Diag(lam) - M as PSD, repairing lam first; the tail of both shifts.
+
+    lam is lifted uniformly by the most negative eigenvalue of Diag(lam) - M
+    (plus 1e-12 * scale) and clamped at 0; raising diagonal entries keeps a
+    PSD matrix PSD.  What rounding leaves is absorbed by Cholesky attempts at
+    steps of 1e-8 * scale.  A lam that is already certified comes back
+    unchanged.
+    """
+    n = m.shape[0]
+    scale = max(1.0, float(np.abs(m).sum(axis=1).max())) if n else 1.0
+    eigmin = float(np.linalg.eigvalsh(np.diag(lam) - m)[0]) if n else 0.0
+    if eigmin < 0.0:
+        lam = lam + (abs(eigmin) + 1e-12 * scale)
+    lam = np.maximum(lam, 0.0)
+    for _ in range(100):
+        tol = _psd_certificate(np.diag(lam) - m, scale)
+        if tol is not None:
+            return DcShift(lam=lam, kind=kind, psd_tol=tol, warning=warning)
+        lam = lam + 1e-8 * scale
+    raise RuntimeError("could not certify the diagonal shift")  # pragma: no cover
+
+
 _SIGMA_MARGIN = 1e-6  # relative safety margin on top of lambda_max
 
 
 def sigma_shift(m) -> DcShift:
     """Scalar shift sigma = max(0, lambda_max(M)) with a relative safety margin.
 
-    The returned sigma is certified (sigma*I - M factors, possibly with the
-    recorded tolerance shift); on certification failure sigma grows
-    geometrically, which terminates because any value at or above the
-    Gershgorin bound is diagonally dominant.
+    sigma goes through the same certification tail as sdp_shift: on a
+    correct eigenvalue estimate sigma*I - M is already PSD and sigma is
+    returned as is; a low estimate is lifted by the missing eigenvalue.
     """
     m = _check_sym(m)
-    n = m.shape[0]
-    scale = max(1.0, float(np.abs(m).sum(axis=1).max())) if n else 1.0
     est = max(0.0, _lambda_max_estimate(m))
-    sigma = est * (1.0 + _SIGMA_MARGIN)
+    return _certified(m, np.full(m.shape[0], est * (1.0 + _SIGMA_MARGIN)), "eig")
+
+
+def _center(m, lam, t, barrier_pos):
+    """Damped Newton steps on the barrier function at t from lam (see sdp_shift).
+
+    Returns (lam, centered); centered is False on a stall.  lam is centered
+    when dec2 <= 1e-11, or when the step is no longer in the local norm than
+    one ulp of lam: late on the path the smallest eigenvalue of
+    Diag(lam) - M is near 1 / t, and the rounding of lam alone then leaves a
+    decrement above 1e-11 that no step can remove.
+    """
     for _ in range(200):
-        tol = _psd_certificate(sigma * np.eye(n) - m, scale)
-        if tol is not None:
-            return DcShift(lam=np.full(n, sigma), kind="eig", psd_tol=tol)
-        sigma = 2.0 * sigma + _SIGMA_MARGIN * scale
-    raise RuntimeError("could not certify a scalar shift")  # pragma: no cover
+        try:
+            linv = np.linalg.inv(np.linalg.cholesky(np.diag(lam) - m))
+            sinv = linv.T @ linv
+            grad = t - np.diag(sinv)
+            hess = sinv * sinv
+            if barrier_pos:
+                grad -= 1.0 / lam
+                hess += np.diag(1.0 / lam**2)
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            return lam, False
+        dec2 = float(-grad @ step)  # step^T hess step
+        if not math.isfinite(dec2):
+            return lam, False
+        ulp = np.spacing(lam)
+        if dec2 <= max(1e-11, float(ulp @ hess @ ulp)):
+            return lam, True
+        lam = lam + step / (1.0 + math.sqrt(dec2))
+    return lam, False
 
 
 def sdp_shift(m) -> DcShift:
-    """Trace-minimal diagonal shift via a barrier Newton method.
+    """Trace-minimal diagonal shift via a log-barrier method with damped Newton steps.
 
-    Minimizes sum(lam) subject to Diag(lam) - M PSD.  The nonnegativity
+    Minimizes sum(lam) subject to Diag(lam) - M PSD along the central path
+    of t * sum(lam) - logdet(Diag(lam) - M), t growing tenfold per pass
+    until the duality gap n / t is below gap_tol.  The nonnegativity
     constraint lam >= 0 is implied whenever diag(M) >= 0 (the diagonal of a
     PSD matrix is nonnegative) and is added as an extra barrier term only
     when some diagonal entry of M is negative.
 
-    The Hessian of -logdet(Diag(lam) - M) with respect to lam is the
-    elementwise square of the slack inverse, so each Newton step costs one
-    n x n solve.  A mandatory repair step (uniform lift by the most negative
-    slack eigenvalue) plus the Cholesky certificate make the result sound
-    even if the solver stalls; the warning flag records a stall.
+    Each Newton step factors S = Diag(lam) - M once by Cholesky, which both
+    checks that lam is inside the cone and gives S^-1 = L^-T L^-1, hence the
+    gradient t - diag(S^-1) and the Hessian S^-1 o S^-1.  The barrier is
+    self-concordant, so the step scaled by 1 / (1 + delta), delta the Newton
+    decrement, stays inside the cone and lowers the barrier function: no
+    line search is needed.  A failed factorization or Hessian solve, a
+    non-finite decrement or a pass that reaches its step cap is a stall:
+    warning is set and the last iterate goes to the certification tail
+    shared with sigma_shift, so the shift is certified either way.
     """
     m = _check_sym(m)
     n = m.shape[0]
     if n == 0:
         return DcShift(lam=np.zeros(0), kind="sdp", psd_tol=0.0)
-    scale = max(1.0, float(np.abs(m).sum(axis=1).max()))
+    rowsum = float(np.abs(m).sum(axis=1).max())
+    scale = max(1.0, rowsum)
     gap_tol = min(1e-7 * scale, 5e-7)
     barrier_pos = bool(np.min(np.diag(m)) < 0.0)
-    lam = np.full(n, float(np.abs(m).sum(axis=1).max()) + 1.0)
+    lam = np.full(n, rowsum + 1.0)
     t = 1.0 / scale
-    warning = False
-
-    def phi(lam_try, tcur):
-        s = np.diag(lam_try) - m
-        try:
-            chol = np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            return None
-        if barrier_pos and np.any(lam_try <= 0.0):
-            return None
-        val = tcur * lam_try.sum() - 2.0 * float(np.log(np.diag(chol)).sum())
-        if barrier_pos:
-            val -= float(np.log(lam_try).sum())
-        return val
-
-    overflow = False
-    for _outer in range(80):
-        for _inner in range(200):
-            s = np.diag(lam) - m
-            sinv = np.linalg.inv(s)
-            grad = t * np.ones(n) - np.diag(sinv)
-            hess = sinv * sinv
-            if barrier_pos:
-                grad -= 1.0 / lam
-                hess = hess + np.diag(1.0 / lam**2)
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                warning = True
-                break
-            dec2 = float(-grad @ step)
-            if dec2 <= 1e-11:
-                break
-            f0 = phi(lam, t)
-            if f0 is None:
-                # the slack does not factor at the current iterate (entries
-                # near the float range): stop and go to the repair step
-                overflow = True
-                break
-            a = 1.0
-            while a > 1e-16:
-                f1 = phi(lam + a * step, t)
-                if f1 is not None and f1 <= f0 - 0.25 * a * dec2:
-                    break
-                a *= 0.5
-            else:
-                warning = True
-                break
-            lam = lam + a * step
-        if overflow:
-            warning = True
+    warning = True  # until the central path reaches gap_tol
+    for _ in range(80):
+        lam, centered = _center(m, lam, t, barrier_pos)
+        if not centered:
             break
         if n / t <= gap_tol:
+            warning = False
             break
         t *= 10.0
-    else:  # pragma: no cover - t grows tenfold per pass, 80 passes suffice
-        warning = True
-
-    # Mandatory repair: lift uniformly by the most negative slack eigenvalue.
-    eigmin = float(np.linalg.eigvalsh(np.diag(lam) - m)[0])
-    if eigmin < 0.0:
-        lam = lam + (abs(eigmin) + 1e-12 * scale)
-    lam = np.maximum(lam, 0.0)
-    tol = _psd_certificate(np.diag(lam) - m, scale)
-    for _ in range(100):
-        if tol is not None:
-            break
-        lam = lam + 1e-8 * scale
-        tol = _psd_certificate(np.diag(lam) - m, scale)
-    else:  # pragma: no cover
-        raise RuntimeError("could not certify the diagonal shift")
-    return DcShift(lam=lam, kind="sdp", psd_tol=tol, warning=warning)
+    return _certified(m, lam, "sdp", warning)
 
 
 # ----------------------------------------------------------------------------

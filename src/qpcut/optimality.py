@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qp import feasible_set
-
 __all__ = [
     "KktAssessment",
     "multipliers",
@@ -83,7 +81,7 @@ def multipliers(problem, x, tol=None):
     the sign the active bound allows.
     """
     x = np.asarray(x, dtype=float)
-    if not feasible_set(problem).contains(x, tol=1e-7):
+    if not problem.fset.contains(x, tol=1e-7):
         raise ValueError("point is infeasible")
     if tol is None:
         tol = _scale_tol(problem)
@@ -125,7 +123,7 @@ def check_first_order(problem, x, lam, mu, tol=None) -> bool:
     mu = np.asarray(mu, dtype=float)
     if tol is None:
         tol = _scale_tol(problem)
-    if not feasible_set(problem).contains(x, tol=1e-7):
+    if not problem.fset.contains(x, tol=1e-7):
         return False
     _, at_lo, at_hi = _budget_state(problem, x, tol)
     if np.any((mu > tol) & (x > X_TOL)):

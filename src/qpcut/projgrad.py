@@ -125,9 +125,10 @@ def _gp_loop(problem, x0, tol, max_iter):
     evaluated once at x0 and then carried along exactly as g + t * Hd, so
     each step costs one matrix-vector product, which also gives the segment
     curvature d^T H d and the Barzilai-Borwein step d^T d / d^T H d.
-    Rounding in the carried gradient can only affect the stopping test and
-    the iterates, never a certified bound: certified_lower_bound recomputes
-    the exact gradient at the final point.
+    Rounding in the carried gradient can only affect the iterates, never a
+    certified bound (certified_lower_bound recomputes the exact gradient at
+    the final point) nor a converged report: a carried residual within tol
+    is checked again at the exact gradient, which the loop then carries on.
     """
     fset = problem.fset
     quad = problem.quad
@@ -144,6 +145,11 @@ def _gp_loop(problem, x0, tol, max_iter):
     for iterations in range(max_iter + 1):
         r = project(x - g, fset) - x
         residual = math.sqrt(r @ r)
+        if residual <= tol and iterations:
+            # confirm at the exact gradient, which the carried one may have drifted from
+            g = problem.grad(x)
+            r = project(x - g, fset) - x
+            residual = math.sqrt(r @ r)
         if residual <= tol:
             converged = True
             break

@@ -22,10 +22,7 @@ __all__ = [
     "ReducedQp",
     "InfeasibleSubproblemError",
     "make_qp",
-    "objective",
-    "gradient",
     "reduce",
-    "feasible_set",
 ]
 
 
@@ -209,16 +206,6 @@ def make_qp(graph: WeightedGraph, spec: PartitionSpec) -> QpProblem:
     return QpProblem(M=m, l=spec.l, u=spec.u)
 
 
-def objective(problem, x) -> float:
-    """Objective value; works for both QpProblem and ReducedQp."""
-    return problem.value(x)
-
-
-def gradient(problem, x) -> np.ndarray:
-    """Objective gradient; works for both QpProblem and ReducedQp."""
-    return problem.grad(x)
-
-
 def reduce(qp: QpProblem, label, order=None) -> ReducedQp:
     """Fix the first len(label) vertices of `order` to the bits in `label`.
 
@@ -259,8 +246,3 @@ def reduce(qp: QpProblem, label, order=None) -> ReducedQp:
         lin = qp.lin[free] - 2.0 * (m_fp @ bits)
         const = float(qp.lin[fixed] @ bits - bits @ (m_pp @ bits))
     return ReducedQp(free=free, quad=m_ff, lin=lin, const=const, lo=lo, hi=hi)
-
-
-def feasible_set(problem) -> FeasibleSet:
-    """Unit box plus the problem's budget window, built once per problem and shared."""
-    return problem.fset

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qp import feasible_set
-
 __all__ = ["round_to_binary", "partition_from_binary"]
 
 SNAP_TOL = 1e-9
@@ -37,7 +35,7 @@ def _snap(x, tol):
 
 def round_to_binary(problem, x, tol: float = SNAP_TOL) -> np.ndarray:
     """Binary feasible y with f(y) <= f(x); binary entries of x are kept."""
-    fset = feasible_set(problem)
+    fset = problem.fset
     x = np.asarray(x, dtype=float).copy()
     if not fset.contains(x, tol=1e-7):
         raise ValueError("input point is infeasible")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 import qpcut as qc
-from qpcut.qp import feasible_set
 
 X_TOL = 1e-7
 
@@ -80,7 +79,7 @@ def fd_gradient(fun, x, h=1e-6):
 def random_feasible(problem, rng):
     """Uniform box sample projected onto the budget window."""
     x = rng.random(problem.n)
-    return qc.project(x, feasible_set(problem))
+    return qc.project(x, problem.fset)
 
 
 def projection_oracle(x, fset):

@@ -10,7 +10,6 @@ import pytest
 
 import qpcut as qc
 from qpcut.bnb import BnbConfig
-from qpcut.qp import feasible_set
 from helpers import (
     corpus,
     improving_move_exists,
@@ -167,7 +166,7 @@ def test_criterion_6_rounding_monotone(corpus_results):
     detail = ""
     for r in corpus_results:
         qp = r["qp"]
-        fs = feasible_set(qp)
+        fs = qp.fset
         for _ in range(per):
             x = random_feasible(qp, rng)
             frozen = (x == 0.0) | (x == 1.0)

@@ -146,7 +146,7 @@ def test_pruned_subtrees_contain_nothing_better():
             full[order[:depth]] = label
             full[order[depth:]] = tail
             if spec.l <= full.sum() <= spec.u:
-                best_in_subtree = min(best_in_subtree, qc.objective(qp, full))
+                best_in_subtree = min(best_in_subtree, qp.value(full))
         assert best_in_subtree >= sol.value
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import qpcut as qc
 from qpcut import bounds
-from qpcut.qp import InfeasibleSubproblemError, feasible_set
+from qpcut.qp import InfeasibleSubproblemError
 from helpers import path_graph, random_graph
 
 
@@ -86,6 +86,38 @@ def test_sdp_shift_near_the_float_range_repairs_with_warning(w12):
     assert isinstance(sh, qc.DcShift) and sh.kind == "sdp" and sh.warning
     scale = max(1.0, float(np.abs(m).sum(axis=1).max()))
     assert bounds._psd_certificate(np.diag(sh.lam) - m, scale) is not None
+
+
+def _dual_gap_cases():
+    for n in (50, 100, 200):
+        yield pytest.param(qc.gen_random(n, 6.0 / n, seed=1), id=f"random-{n}")
+    yield pytest.param(qc.gen_toroidal(4, 5, 1), id="toroidal-4x5")
+    yield pytest.param(qc.gen_mixed(3, 4, 3), id="mixed-3x4")
+    yield pytest.param(qc.gen_random(16, 1.0, 1), id="random-16-1.0")
+    yield pytest.param(qc.gen_debruijn(4), id="debruijn-4")
+
+
+@pytest.mark.parametrize("graph", _dual_gap_cases())
+def test_sdp_shift_is_trace_minimal_to_the_dual_gap(graph):
+    # Weak duality: for S = Diag(lam) - M PSD and any PSD X with unit
+    # diagonal, sum(lam) - <M, X> = <S, X> >= 0, and <M, X> is at most the
+    # optimal trace, so the gap bounds how far sum(lam) is above the optimum.
+    # X = D^(-1/2) S^-1 D^(-1/2) with D = diag(S^-1) is such an X.  On the
+    # central path diag(S^-1) = t, so X = S^-1 / t and the gap is n / t,
+    # which the method drives below gap_tol; 2 * gap_tol leaves room for the
+    # centering tolerance and the certification lift.  A shift stopped
+    # early, or certified by a larger lift, fails this.  On random-100 the
+    # last pass ends at the rounding floor of lam (the one-ulp stop), which
+    # is not a stall.
+    m = qc.make_qp(graph, qc.PartitionSpec(0, graph.n)).M
+    sh = qc.sdp_shift(m)
+    assert sh.warning is False
+    sinv = np.linalg.inv(np.diag(sh.lam) - m)
+    r = 1.0 / np.sqrt(np.diag(sinv))
+    x = sinv * np.outer(r, r)
+    scale = max(1.0, float(np.abs(m).sum(axis=1).max()))
+    gap_tol = min(1e-7 * scale, 5e-7)
+    assert 0.0 <= sh.lam.sum() - float((m * x).sum()) <= 2.0 * gap_tol
 
 
 def test_sdp_dominance_and_certificates():
@@ -199,7 +231,7 @@ def test_scalar_relaxation_formula():
         lam = shift.lam
         for _ in range(50):
             x = rng.random(3)
-            want = qc.objective(qp, x) + x @ (lam * x) - lam @ x
+            want = qp.value(x) + x @ (lam * x) - lam @ x
             assert rel.value(x) == pytest.approx(want, abs=1e-10)
 
 
@@ -250,7 +282,7 @@ def test_certified_lower_bound_soundness_small():
         shift = qc.sdp_shift(qp.M)
         rel = qc.build_relaxation(red, shift)
         for _ in range(20):
-            x = qc.project(rng.random(n), feasible_set(red))
+            x = qc.project(rng.random(n), red.fset)
             assert qc.certified_lower_bound(rel, x) <= opt + 1e-6 * (1.0 + abs(opt))
 
 

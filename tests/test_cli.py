@@ -38,6 +38,16 @@ def test_solve_generated_bisection_matches_oracle(tmp_path, capsys):
     assert on_disk == rep
 
 
+def test_solve_reports_solver_health(capsys):
+    code, rep = run_cli(capsys, "solve", "--gen", "toroidal:3x4", "--seed", "1", "--bisection")
+    assert code == 0 and rep["status"] == "optimal"
+    qp = qc.make_qp(qc.gen_toroidal(3, 4, seed=1), qc.PartitionSpec(6, 6))
+    shift = qc.sdp_shift(qp.M)
+    assert rep["shift_warning"] is shift.warning is False
+    assert rep["psd_tol"] == shift.psd_tol
+    assert rep["relaxations_converged"] is True
+
+
 def test_bound_command(capsys):
     code, rep = run_cli(
         capsys, "bound", "--gen", "random:12x0.4", "--seed", "3", "--bisection", "--oracle"

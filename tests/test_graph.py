@@ -137,7 +137,7 @@ def test_cut_weight_equals_objective_on_random_binaries():
         qp = qc.make_qp(g, qc.PartitionSpec(0, g.n))
         for _ in range(1000):
             side = rng.integers(0, 2, size=g.n).astype(float)
-            assert qc.cut_weight(g, side) == qc.objective(qp, side)
+            assert qc.cut_weight(g, side) == qp.value(side)
 
 
 def test_gen_toroidal_counts_and_weights():

@@ -17,7 +17,7 @@ def test_multipliers_interior_budget():
     x = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])  # sum 3, strictly inside [1, 5]
     lam, mu = qc.multipliers(qp, x)
     assert lam == 0.0
-    assert np.array_equal(mu, qc.gradient(qp, x))
+    assert np.array_equal(mu, qp.grad(x))
 
 
 def test_multipliers_midpoint_on_active_bound():
@@ -118,8 +118,8 @@ def test_descent_direction_strictly_decreases():
         assert alpha_max > 0.0
         for step in (min(alpha_max, 1e-3), alpha_max):
             x_new = x + step * d
-            assert qc.feasible_set(qp).contains(x_new, tol=1e-9)
-            assert qc.objective(qp, x_new) < qc.objective(qp, x)
+            assert qp.fset.contains(x_new, tol=1e-9)
+            assert qp.value(x_new) < qp.value(x)
         produced += 1
     assert produced >= 8
 
@@ -136,7 +136,7 @@ def test_descent_direction_p4_single_coordinate():
     assert move is not None
     d, alpha_max = move
     x_new = x + min(alpha_max, 1e-3) * d
-    assert qc.objective(qp, x_new) < qc.objective(qp, x)
+    assert qp.value(x_new) < qp.value(x)
 
 
 def test_descent_direction_none_at_local_min():
@@ -191,4 +191,4 @@ def test_mu_identity():
     for _ in range(20):
         x = random_feasible(qp, rng)
         lam, mu = qc.multipliers(qp, x)
-        assert np.allclose(mu, qc.gradient(qp, x) + lam, atol=0.0)
+        assert np.allclose(mu, qp.grad(x) + lam, atol=0.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qpcut as qc
-from qpcut.qp import FeasibleSet, feasible_set
+from qpcut.qp import FeasibleSet
 from helpers import path_graph, random_graph, projection_oracle
 
 
@@ -84,7 +84,7 @@ def test_solve_convex_monotone_and_stopping():
         g = random_graph(10, 0.6, seed)
         qp = qc.make_qp(g, qc.PartitionSpec(3, 7))
         rel = relaxation(qp, kind="sdp")
-        fs = feasible_set(rel)
+        fs = rel.fset
         x = qc.project(rng.random(10) * 2 - 0.5, fs)
         values = []
         for iters in range(0, 40, 5):
@@ -131,20 +131,35 @@ def exact_residual(grad, x, fs):
     return float(np.linalg.norm(qc.project(x - grad(x), fs) - x))
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_carried_gradient_cannot_fake_convergence(seed):
+def _carried_gradient_cases():
+    for seed in range(8):
+        yield pytest.param(seed, None, id=str(seed))
+    # the carried residual passed 1e-12 at 9.79e-13 while the exact one was
+    # 1.016e-12: sigma_shift, label (1,) in branching order, window [4, 13]
+    yield pytest.param(7, (13, 0.7, 4, 13), id="n13-window-4-13-ordered")
+
+
+@pytest.mark.parametrize("seed, case", _carried_gradient_cases())
+def test_carried_gradient_cannot_fake_convergence(seed, case):
     # the loop updates g <- g + t Hd instead of re-evaluating the gradient; a
     # converged report must still be stationary to tol at the exact gradient
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(6, 14))
-    g = random_graph(n, float(rng.uniform(0.3, 1.0)), seed)
-    lo = int(rng.integers(0, n // 2 + 1))
-    qp = qc.make_qp(g, qc.PartitionSpec(lo, int(rng.integers(lo, n + 1))))
+    if case is None:
+        n = int(rng.integers(6, 14))
+        g = random_graph(n, float(rng.uniform(0.3, 1.0)), seed)
+        lo = int(rng.integers(0, n // 2 + 1))
+        qp = qc.make_qp(g, qc.PartitionSpec(lo, int(rng.integers(lo, n + 1))))
+        order = None
+    else:
+        n, density, lo, hi = case
+        g = random_graph(n, density, seed)
+        qp = qc.make_qp(g, qc.PartitionSpec(lo, hi))
+        order = qc.order_vertices(g)
     checked = 0
     for shift in (qc.sdp_shift(qp.M), qc.sigma_shift(qp.M)):
         for label in ((), (1,), (0, 1)):
-            red = qc.reduce(qp, label)
-            fs = feasible_set(red)
+            red = qc.reduce(qp, label, order)
+            fs = red.fset
             rel = qc.build_relaxation(red, shift)
             for tol in (1e-4, 1e-8, 1e-12):
                 report, _ = qc.solve_convex(rel, tol=tol, max_iter=10**4)

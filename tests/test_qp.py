@@ -36,17 +36,17 @@ def test_qp_rejects_weights_beyond_exact_cut_sums():
 
 def test_objective_examples():
     qp = qc.make_qp(path_graph(3), qc.PartitionSpec(1, 1))
-    assert qc.objective(qp, np.array([1.0, 0.0, 0.0])) == 1.0
-    assert qc.objective(qp, np.zeros(3)) == 0.0
-    assert qc.objective(qp, np.ones(3)) == 0.0
+    assert qp.value(np.array([1.0, 0.0, 0.0])) == 1.0
+    assert qp.value(np.zeros(3)) == 0.0
+    assert qp.value(np.ones(3)) == 0.0
     with pytest.raises(ValueError):
-        qc.objective(qp, np.zeros(4))
+        qp.value(np.zeros(4))
 
 
 def test_gradient_examples():
     qp = qc.make_qp(path_graph(3), qc.PartitionSpec(1, 1))
-    assert np.allclose(qc.gradient(qp, np.full(3, 0.5)), 0.0)
-    assert np.array_equal(qc.gradient(qp, np.zeros(3)), np.array([2.0, 3.0, 2.0]))
+    assert np.allclose(qp.grad(np.full(3, 0.5)), 0.0)
+    assert np.array_equal(qp.grad(np.zeros(3)), np.array([2.0, 3.0, 2.0]))
 
 
 def test_gradient_matches_finite_differences():
@@ -56,8 +56,8 @@ def test_gradient_matches_finite_differences():
         qp = qc.make_qp(g, qc.PartitionSpec(2, 5))
         for _ in range(100):
             x = rng.random(7)
-            num = fd_gradient(lambda v: qc.objective(qp, v), x)
-            ana = qc.gradient(qp, x)
+            num = fd_gradient(qp.value, x)
+            ana = qp.grad(x)
             scale = max(1.0, float(np.abs(ana).max()))
             assert np.abs(num - ana).max() <= 1e-5 * scale
 
@@ -67,7 +67,7 @@ def test_reduce_identity_and_budgets():
     red = qc.reduce(qp, ())
     assert red.lo == 1 and red.hi == 2 and red.n == 3
     x = np.array([0.3, 0.9, 0.1])
-    assert red.value(x) == pytest.approx(qc.objective(qp, x), abs=1e-12)
+    assert red.value(x) == pytest.approx(qp.value(x), abs=1e-12)
 
 
 def test_reduce_fix_middle_vertex():
@@ -78,7 +78,7 @@ def test_reduce_fix_middle_vertex():
     for _ in range(100):
         xt = rng.random(2)
         full = np.array([xt[0], 1.0, xt[1]])
-        assert red.value(xt) == pytest.approx(qc.objective(qp, full), abs=1e-9)
+        assert red.value(xt) == pytest.approx(qp.value(full), abs=1e-9)
 
 
 def test_reduce_infeasible_signals():
@@ -109,7 +109,7 @@ def test_reduce_consistency_exhaustive_depth3():
                     full = np.empty(8)
                     full[: depth] = bits
                     full[depth:] = xt
-                    want = qc.objective(qp, full)
+                    want = qp.value(full)
                     assert abs(red.value(xt) - want) <= 1e-9 * (1.0 + abs(want))
 
 
@@ -120,12 +120,12 @@ def test_binary_objective_equals_cut_exactly():
         rng = np.random.default_rng(seed)
         for _ in range(200):
             y = rng.integers(0, 2, size=10).astype(float)
-            assert qc.objective(qp, y) == qc.cut_weight(g, y)
+            assert qp.value(y) == qc.cut_weight(g, y)
 
 
 def test_feasible_set_shape():
     qp = qc.make_qp(path_graph(3), qc.PartitionSpec(1, 2))
-    fs = qc.feasible_set(qp)
+    fs = qp.fset
     assert fs.dim == 3 and fs.lo == 1.0 and fs.hi == 2.0
     assert fs.contains(np.array([1.0, 0.0, 0.5]))
     assert not fs.contains(np.array([1.0, 1.0, 1.0]))

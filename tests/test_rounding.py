@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import qpcut as qc
-from qpcut.qp import feasible_set
 from helpers import random_graph, random_feasible
 
 
@@ -19,7 +18,7 @@ def test_k2_half_half_ties():
     qp = qc.make_qp(g, qc.PartitionSpec(1, 1))
     y = qc.round_to_binary(qp, np.array([0.5, 0.5]))
     assert sorted(y.tolist()) == [0.0, 1.0]
-    assert qc.objective(qp, y) == 1.0  # constant along the tie move
+    assert qp.value(y) == 1.0  # constant along the tie move
 
 
 def test_rejects_infeasible_input():
@@ -37,14 +36,14 @@ def test_rounding_property_battery():
         lo = int(rng.integers(0, n + 1))
         hi = int(rng.integers(lo, n + 1))
         qp = qc.make_qp(g, qc.PartitionSpec(lo, hi))
-        fs = feasible_set(qp)
+        fs = qp.fset
         for _ in range(85):
             x = random_feasible(qp, rng)
-            fx = qc.objective(qp, x)
+            fx = qp.value(x)
             y = qc.round_to_binary(qp, x)
             assert np.all((y == 0.0) | (y == 1.0))
             assert fs.contains(y, tol=1e-9)
-            assert qc.objective(qp, y) <= fx + 1e-9 * (1.0 + abs(fx))
+            assert qp.value(y) <= fx + 1e-9 * (1.0 + abs(fx))
             binary_mask = (x == 0.0) | (x == 1.0)
             assert np.array_equal(y[binary_mask], x[binary_mask])
 
@@ -54,7 +53,7 @@ def test_rounding_on_reduced_problems():
     g = random_graph(9, 0.6, 3)
     qp = qc.make_qp(g, qc.PartitionSpec(3, 6))
     red = qc.reduce(qp, (1, 0))
-    fs = feasible_set(red)
+    fs = red.fset
     for _ in range(100):
         x = qc.project(rng.random(red.n), fs)
         y = qc.round_to_binary(red, x)
@@ -79,4 +78,4 @@ def test_round_trip_cut_identity():
         y = qc.round_to_binary(qp, random_feasible(qp, rng))
         v0, v1 = qc.partition_from_binary(y)
         assert len(v0) + len(v1) == 8
-        assert qc.cut_weight(g, y) == qc.objective(qp, y)
+        assert qc.cut_weight(g, y) == qp.value(y)
