@@ -5,8 +5,8 @@ weight first).  Each open leaf carries a certified lower bound from the
 convex relaxation of its reduced subproblem; the leaf with the smallest
 bound is expanded next.  Upper bounds come from the solver's own pieces:
 nonconvex gradient-projection descent started at the relaxation solution,
-constructive rounding, and descent-direction restarts when the rounded point
-is stationary but not a local minimizer.
+then constructive rounding.  The local-minimum test of qpcut.optimality is
+not on the solve path.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 
 from .bounds import DcShift, build_relaxation, sdp_shift, sigma_shift
 from .graph import PartitionSpec, WeightedGraph
-from .optimality import check_local_min, descent_direction
+# unused here; perfbench/tracing.py traces these two names in this module
+from .optimality import check_local_min, descent_direction  # noqa: F401
 from .projgrad import descend_nonconvex, project, solve_convex
 from .qp import InfeasibleSubproblemError, ReducedQp, make_qp, reduce
 from .rounding import partition_from_binary, round_to_binary
@@ -37,8 +38,7 @@ __all__ = [
 
 EPS = 1e-6  # prune slack, see prune_threshold
 SOLVER_MAX_ITER = 10000  # gradient-projection iterations per relaxation solve
-DESCENT_MAX_ITER = 2000  # nonconvex descent iterations per upper-bound round
-UB_ROUNDS = 4  # descend-round-restart rounds per upper-bound attempt
+DESCENT_MAX_ITER = 2000  # nonconvex descent iterations per upper bound
 
 
 @dataclass
@@ -81,39 +81,15 @@ def prune_threshold(upper: float, integral: bool, eps: float = EPS) -> float:
     return upper - 1.0 + eps if integral else upper - eps
 
 
-def upper_bound_from(reduced: ReducedQp, x_start, config: BnbConfig | None = None):
+def upper_bound_from(reduced: ReducedQp, x_start, tol: float = 1e-4):
     """Binary feasible point for a subproblem, built from the solver's pieces.
 
-    Descend the nonconvex objective from x_start, round constructively, and
-    when the rounded point is stationary but fails the local-minimum test,
-    step along the returned descent direction and repeat (bounded rounds).
+    Descend the nonconvex objective from x_start, then round constructively.
     Returns (y, value); the value never exceeds the objective at x_start.
     """
-    config = config or BnbConfig()
-    x = np.asarray(x_start, dtype=float)
-    best_y = None
-    best_val = np.inf
-    for _ in range(UB_ROUNDS):
-        report = descend_nonconvex(reduced, x, tol=config.tol, max_iter=DESCENT_MAX_ITER)
-        y = round_to_binary(reduced, report.x)
-        val = reduced.value(y)
-        improved = val < best_val - 1e-12
-        if improved or best_y is None:
-            best_y, best_val = y, val
-        assessment = check_local_min(reduced, y)
-        if assessment.local_min:
-            break
-        if assessment.p1:
-            move = descent_direction(reduced, y, assessment)
-            if move is None:
-                break
-            d, alpha = move
-            x = y + alpha * d
-        elif improved:
-            x = y
-        else:
-            break
-    return best_y, float(best_val)
+    report = descend_nonconvex(reduced, x_start, tol=tol, max_iter=DESCENT_MAX_ITER)
+    y = round_to_binary(reduced, report.x)
+    return y, float(reduced.value(y))
 
 
 def _assemble_full(n: int, order, label, free, y_free) -> np.ndarray:
@@ -139,7 +115,7 @@ def _eval_node(qp, shift, order, label, parent_bound, x_start, config):
     x0 = project(x_start, red.fset)
     report, cert = solve_convex(rel, x0, tol=config.tol, max_iter=SOLVER_MAX_ITER)
 
-    y_free, _ = upper_bound_from(red, report.x, config)
+    y_free, _ = upper_bound_from(red, report.x, config.tol)
     full = _assemble_full(qp.n, order, label, red.free, y_free)
     return {
         "kind": "open",

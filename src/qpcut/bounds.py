@@ -83,6 +83,10 @@ def _check_sym(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rowsum = np.abs(m).sum(axis=1)  # non-finite for any inf or nan entry too
+    if not np.isfinite(rowsum).all():
+        raise ValueError("matrix entries and absolute row sums must be finite")
     if not np.allclose(m, m.T, rtol=0.0, atol=0.0):
         raise ValueError("matrix must be symmetric")
     return m
@@ -118,7 +122,8 @@ def _certified(m: np.ndarray, lam: np.ndarray, kind: str, warning: bool = False)
     (plus 1e-12 * scale) and clamped at 0; raising diagonal entries keeps a
     PSD matrix PSD.  What rounding leaves is absorbed by Cholesky attempts at
     steps of 1e-8 * scale.  A lam that is already certified comes back
-    unchanged.
+    unchanged.  A lam that overflows raises ValueError: Cholesky does not
+    reject non-finite entries, so it would pass uncertified.
     """
     n = m.shape[0]
     scale = max(1.0, float(np.abs(m).sum(axis=1).max())) if n else 1.0
@@ -127,6 +132,8 @@ def _certified(m: np.ndarray, lam: np.ndarray, kind: str, warning: bool = False)
         lam = lam + (abs(eigmin) + 1e-12 * scale)
     lam = np.maximum(lam, 0.0)
     for _ in range(100):
+        if not np.isfinite(lam).all():
+            raise ValueError("the diagonal shift is not finite: matrix entries too large")
         tol = _psd_certificate(np.diag(lam) - m, scale)
         if tol is not None:
             return DcShift(lam=lam, kind=kind, psd_tol=tol, warning=warning)
@@ -143,6 +150,8 @@ def sigma_shift(m) -> DcShift:
     sigma goes through the same certification tail as sdp_shift: on a
     correct eigenvalue estimate sigma*I - M is already PSD and sigma is
     returned as is; a low estimate is lifted by the missing eigenvalue.
+    A matrix with a non-finite entry or absolute row sum, or one whose shift
+    overflows, raises ValueError.
     """
     m = _check_sym(m)
     est = max(0.0, _lambda_max_estimate(m))
@@ -198,7 +207,8 @@ def sdp_shift(m) -> DcShift:
     line search is needed.  A failed factorization or Hessian solve, a
     non-finite decrement or a pass that reaches its step cap is a stall:
     warning is set and the last iterate goes to the certification tail
-    shared with sigma_shift, so the shift is certified either way.
+    shared with sigma_shift, so the shift is certified either way.  Non-finite
+    input raises ValueError, as in sigma_shift.
     """
     m = _check_sym(m)
     n = m.shape[0]

@@ -161,6 +161,24 @@ def test_upper_bound_never_exceeds_relaxation_value():
         y, val = upper_bound_from(red, report.x)
         assert val <= red.value(report.x) + 1e-9
         assert np.all((y == 0.0) | (y == 1.0))
+        assert spec.l <= y.sum() <= spec.u
+
+
+@pytest.mark.parametrize("bound", ["sdp", "eig"])
+@pytest.mark.parametrize("lo,hi", [(4, 4), (2, 5)], ids=["bisect", "window"])
+def test_solve_path_classifies_no_local_minima(monkeypatch, bound, lo, hi):
+    # the local-minimum test serves `qpcut check`, not the search
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solve path called qpcut.optimality")
+
+    monkeypatch.setattr("qpcut.bnb.check_local_min", forbidden)
+    monkeypatch.setattr("qpcut.bnb.descent_direction", forbidden)
+    g = random_graph(8, 0.6, 3, low=1, high=9)
+    spec = qc.PartitionSpec(lo, hi)
+    opt, _ = qc.brute_force(g, spec)
+    sol = qc.solve(g, spec, BnbConfig(bound=bound))
+    assert sol.status == "optimal"
+    assert sol.value == pytest.approx(opt)
 
 
 def test_node_limit_and_time_limit_statuses():

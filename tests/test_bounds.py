@@ -88,6 +88,30 @@ def test_sdp_shift_near_the_float_range_repairs_with_warning(w12):
     assert bounds._psd_certificate(np.diag(sh.lam) - m, scale) is not None
 
 
+_NON_FINITE = {
+    "inf-diagonal": [[np.inf, 0.0], [0.0, 1.0]],
+    "row-sum-overflow": [[1e308, 1e308], [1e308, 1e308]],
+    "nan-entry": [[np.nan, 0.0], [0.0, 1.0]],
+    "neg-inf-offdiagonal": [[1.0, -np.inf], [-np.inf, 1.0]],
+}
+
+
+@pytest.mark.parametrize("shift", [qc.sigma_shift, qc.sdp_shift], ids=["sigma", "sdp"])
+@pytest.mark.parametrize("m", list(_NON_FINITE.values()), ids=list(_NON_FINITE))
+def test_shifts_reject_non_finite_matrices(shift, m):
+    # Cholesky does not raise on inf or nan, so such a matrix would pass
+    # the certificate with a meaningless shift
+    with pytest.raises(ValueError, match="finite"):
+        shift(np.array(m))
+
+
+def test_sigma_shift_rejects_an_overflowing_shift():
+    # finite entries and row sums, but the safety margin overflows sigma
+    m = np.diag([np.finfo(float).max, 0.0])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        qc.sigma_shift(m)
+
+
 def _dual_gap_cases():
     for n in (50, 100, 200):
         yield pytest.param(qc.gen_random(n, 6.0 / n, seed=1), id=f"random-{n}")
