@@ -52,7 +52,6 @@ from .projgrad import SolveReport, descend_nonconvex, project, solve_convex
 from .qp import (
     FeasibleSet,
     InfeasibleSubproblemError,
-    QpProblem,
     ReducedQp,
     make_qp,
     reduce,
@@ -69,7 +68,6 @@ __all__ = [
     "InfeasibleSubproblemError",
     "KktAssessment",
     "PartitionSpec",
-    "QpProblem",
     "ReducedQp",
     "Solution",
     "SolveReport",

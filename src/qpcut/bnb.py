@@ -100,29 +100,34 @@ def _assemble_full(n: int, order, label, free, y_free) -> np.ndarray:
     return x
 
 
-def _eval_node(qp, shift, order, label, parent_bound, x_start, config):
-    """Bound one node; x_start (projected here) starts its relaxation solve."""
+def _eval_node(qp, shift, order, parent, label, parent_bound, x_start, config):
+    """Bound one node; x_start (projected here) starts its relaxation solve.
+
+    The root (empty label) is qp in branching order; any other node is its
+    parent's subproblem with the last vertex of its label fixed.
+    """
     try:
-        red = reduce(qp, label, order)
+        red = reduce(parent, label[-1:]) if label else reduce(qp, (), order)
     except InfeasibleSubproblemError:
         return {"kind": "infeasible"}
-    if red.n == 0:
-        value = red.const
-        full = _assemble_full(qp.n, order, label, red.free, np.zeros(0))
-        return {"kind": "leaf", "bound": value, "cand": (full, value)}
-
-    rel = build_relaxation(red, shift)
-    x0 = project(x_start, red.fset)
-    report, cert = solve_convex(rel, x0, tol=config.tol, max_iter=SOLVER_MAX_ITER)
-
-    y_free, _ = upper_bound_from(red, report.x, config.tol)
+    if red.n:
+        rel = build_relaxation(red, shift)
+        x0 = project(x_start, red.fset)
+        report, cert = solve_convex(rel, x0, tol=config.tol, max_iter=SOLVER_MAX_ITER)
+        y_free, _ = upper_bound_from(red, report.x, config.tol)
+    else:
+        y_free = np.zeros(0)  # a leaf: every vertex is fixed
     full = _assemble_full(qp.n, order, label, red.free, y_free)
+    value = qp.value(full)
+    if not red.n:
+        return {"kind": "leaf", "bound": value, "cand": (full, value)}
     return {
         "kind": "open",
         "bound": max(cert, parent_bound),
+        "red": red,
         "relax_x": report.x,
         "converged": report.converged,
-        "cand": (full, qp.value(full)),
+        "cand": (full, value),
     }
 
 
@@ -155,16 +160,16 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
     bound_trace = []
     best_y, best_val = None, math.inf
     all_converged = True
-    # heap entries: (bound, -depth, seq, label, relax_x); seq breaks ties FIFO
+    # heap entries: (bound, -depth, seq, label, red, relax_x); seq breaks ties FIFO
     heap = []
     seq = 0
     status = "optimal"
-    # (label, parent bound, start point); the root starts at the center
-    batch = [((), -math.inf, np.full(qp.n, 0.5))]
+    # (parent subproblem, label, parent bound, start point); the root starts at the center
+    batch = [(qp, (), -math.inf, np.full(qp.n, 0.5))]
 
     while True:
-        for label, parent_bound, x_start in batch:
-            res = _eval_node(qp, shift, order, label, parent_bound, x_start, config)
+        for parent, label, parent_bound, x_start in batch:
+            res = _eval_node(qp, shift, order, parent, label, parent_bound, x_start, config)
             node_count += 1
             if res["kind"] == "infeasible":
                 continue
@@ -179,7 +184,7 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
                 all_converged = False
             if res["bound"] > prune_threshold(best_val, integral):
                 continue
-            heapq.heappush(heap, (res["bound"], -len(label), seq, label, res["relax_x"]))
+            heapq.heappush(heap, (res["bound"], -len(label), seq, label, res["red"], res["relax_x"]))
             seq += 1
 
         if not heap:
@@ -190,12 +195,12 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
         if config.time_limit is not None and time.perf_counter() - t_start > config.time_limit:
             status = "time_limit"
             break
-        bound, _, _, label, relax_x = heapq.heappop(heap)
+        bound, _, _, label, red, relax_x = heapq.heappop(heap)
         bound_trace.append(bound)
         if bound > prune_threshold(best_val, integral):
             break  # best-first: every other open leaf is at least as bad
         # a child's free vertices are its parent's minus the first one
-        batch = [(label + (bit,), bound, relax_x[1:]) for bit in (0, 1)]
+        batch = [(red, label + (bit,), bound, relax_x[1:]) for bit in (0, 1)]
 
     v0, v1 = partition_from_binary(best_y)
     return Solution(

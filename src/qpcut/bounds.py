@@ -263,9 +263,9 @@ def build_relaxation(reduced: ReducedQp, shift: DcShift) -> ReducedQp:
     The surrogate f_L(x) = f(x) + x^T Diag(lam) x + slope . x + offset, with
     (slope, offset) the affine underestimate of -x^T Diag(lam) x, is
     f_L <= f on the feasible set and is again a quadratic
-    (const + offset) + (lin + slope) . x - x^T (quad - Diag(lam)) x
+    (const + offset) + (lin + slope) . x - x^T (M - Diag(lam)) x
     on the same coordinates, window and feasible set.  Its Hessian
-    2 (Diag(lam) - quad) is PSD: lam is the shift certified for the full
+    2 (Diag(lam) - M) is PSD: lam is the shift certified for the full
     matrix, restricted to the free coordinates (in the subproblem's order),
     and a principal submatrix of a PSD matrix is PSD, so no per-node
     re-solve is needed.  certified_lower_bound recomputes the exact gradient
@@ -275,7 +275,7 @@ def build_relaxation(reduced: ReducedQp, shift: DcShift) -> ReducedQp:
     lam = shift.restrict(reduced.free)
     slope, offset = affine_underestimate(lam, reduced.fset)
     return replace(
-        reduced, quad=reduced.quad - np.diag(lam), lin=reduced.lin + slope,
+        reduced, M=reduced.M - np.diag(lam), lin=reduced.lin + slope,
         const=reduced.const + offset,
     )
 

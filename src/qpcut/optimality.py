@@ -37,7 +37,7 @@ X_TOL = 1e-7
 
 
 def _scale_tol(problem) -> float:
-    q = problem.quad
+    q = problem.M
     norm = float(np.abs(q).sum(axis=1).max()) if q.size else 0.0
     return 1e-6 * max(1.0, norm)
 
@@ -144,7 +144,7 @@ def check_local_min(problem, x, tol=None) -> KktAssessment:
         tol = _scale_tol(problem)
     lam, mu = multipliers(problem, x, tol)
     g = problem.grad(x)
-    q = problem.quad
+    q = problem.M
     d = np.diag(q)
     _, at_lo, at_hi = _budget_state(problem, x, tol)
 

@@ -1,7 +1,7 @@
 """Projection onto box-plus-budget sets and gradient projection solvers.
 
 The same iteration drives both the convex relaxation solve and the nonconvex
-descent, since both minimize a quadratic const + lin . x - x^T quad x over
+descent, since both minimize a quadratic const + lin . x - x^T M x over
 the unit box and budget window:
 x_{k+1} = x_k + t* (P(x_k - alpha_k g_k) - x_k), where alpha_k is a
 safeguarded Barzilai-Borwein steplength and t* minimizes the quadratic
@@ -121,7 +121,7 @@ def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
 def _gp_loop(problem, x0, tol, max_iter):
     """Gradient projection on a quadratic problem from x0.
 
-    The Hessian of const + lin . x - x^T quad x is -2 quad.  The gradient is
+    The Hessian of const + lin . x - x^T M x is -2 M.  The gradient is
     evaluated once at x0 and then carried along exactly as g + t * Hd, so
     each step costs one matrix-vector product, which also gives the segment
     curvature d^T H d and the Barzilai-Borwein step d^T d / d^T H d.
@@ -131,7 +131,7 @@ def _gp_loop(problem, x0, tol, max_iter):
     is checked again at the exact gradient, which the loop then carries on.
     """
     fset = problem.fset
-    quad = problem.quad
+    m = problem.M
     x = np.asarray(x0, dtype=float).copy()
     if not fset.contains(x, tol=1e-9):
         raise ValueError("starting point is infeasible")
@@ -159,7 +159,7 @@ def _gp_loop(problem, x0, tol, max_iter):
         if not d.any():
             break  # fixed point for this steplength: stationary
         a = float(g @ d)  # < 0 by the projection inequality
-        hd = -2.0 * (quad @ d)
+        hd = -2.0 * (m @ d)
         b = float(d @ hd)
         if b > 0.0:
             t = min(1.0, -a / b)

@@ -10,7 +10,6 @@ same shape on the free coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .graph import PartitionSpec, WeightedGraph, build_diagonal_shift
 
 __all__ = [
     "FeasibleSet",
-    "QpProblem",
     "ReducedQp",
     "InfeasibleSubproblemError",
     "make_qp",
@@ -91,79 +89,20 @@ class FeasibleSet:
 
 
 @dataclass(frozen=True)
-class QpProblem:
-    """Full problem: minimize (1 - x)^T M x over the box plus budget window."""
-
-    M: np.ndarray
-    l: int
-    u: int
-    lin: np.ndarray = field(init=False)  # M @ 1, cached row sums
-
-    def __post_init__(self):
-        m = np.array(self.M, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("M must be square")
-        if not np.array_equal(m, m.T):
-            raise ValueError("M must be symmetric")
-        # integer cut sums stay exact in floating point only below 2**53
-        if not np.abs(m).sum() < 2.0**53:
-            raise ValueError("sum of |M_ij| must be below 2**53 for exact cut values")
-        d = np.diag(m)
-        if np.any(d < 0.0):
-            raise ValueError("diag(M) must be nonnegative")
-        pair = d[:, None] + d[None, :] - 2.0 * m
-        if pair.min() < -1e-9 * max(1.0, np.abs(m).max()):
-            raise ValueError("M violates M_ii + M_jj >= 2 M_ij")
-        if not 0 <= self.l <= self.u <= m.shape[0]:
-            raise ValueError(f"need 0 <= l <= u <= n, got l={self.l}, u={self.u}")
-        m.setflags(write=False)
-        object.__setattr__(self, "M", m)
-        lin = m.sum(axis=1)
-        lin.setflags(write=False)
-        object.__setattr__(self, "lin", lin)
-
-    @property
-    def n(self) -> int:
-        return self.M.shape[0]
-
-    @property
-    def quad(self) -> np.ndarray:
-        return self.M
-
-    @property
-    def lo(self) -> int:
-        return self.l
-
-    @property
-    def hi(self) -> int:
-        return self.u
-
-    def value(self, x) -> float:
-        x = _check_dim(x, self.n)
-        return float(self.lin @ x - x @ (self.M @ x))
-
-    def grad(self, x) -> np.ndarray:
-        x = _check_dim(x, self.n)
-        return self.lin - 2.0 * (self.M @ x)
-
-    @cached_property
-    def fset(self) -> FeasibleSet:
-        return _unit_box_budget(self)
-
-
-@dataclass(frozen=True)
 class ReducedQp:
-    """Subproblem on the free coordinates after fixing a binary prefix.
+    """The problem on the free coordinates after fixing some vertices.
 
-    f(x) = const + lin . x - x^T quad x, with the remaining budget window
+    f(x) = const + lin . x - x^T M x, with the remaining budget window
     [lo, hi] (raw values; they may extend beyond what the box can reach).
+    free[k] is the vertex that coordinate k stands for.  make_qp returns the
+    root (every vertex free, const = 0) and reduce derives the rest.
     fset is built once here when not given, and dataclasses.replace passes
     it on, so a problem derived on the same coordinates and window (the node
     relaxation) shares it.
     """
 
     free: np.ndarray
-    quad: np.ndarray
+    M: np.ndarray
     lin: np.ndarray
     const: float
     lo: int
@@ -172,7 +111,9 @@ class ReducedQp:
 
     def __post_init__(self):
         if self.fset is None:
-            object.__setattr__(self, "fset", _unit_box_budget(self))
+            n = self.n
+            fset = FeasibleSet(p=np.zeros(n), q=np.ones(n), lo=float(self.lo), hi=float(self.hi))
+            object.__setattr__(self, "fset", fset)
 
     @property
     def n(self) -> int:
@@ -180,16 +121,11 @@ class ReducedQp:
 
     def value(self, x) -> float:
         x = _check_dim(x, self.n)
-        return float(self.const + self.lin @ x - x @ (self.quad @ x))
+        return float(self.const + self.lin @ x - x @ (self.M @ x))
 
     def grad(self, x) -> np.ndarray:
         x = _check_dim(x, self.n)
-        return self.lin - 2.0 * (self.quad @ x)
-
-
-def _unit_box_budget(problem) -> FeasibleSet:
-    n = problem.n
-    return FeasibleSet(p=np.zeros(n), q=np.ones(n), lo=float(problem.lo), hi=float(problem.hi))
+        return self.lin - 2.0 * (self.M @ x)
 
 
 def _check_dim(x, n):
@@ -199,25 +135,39 @@ def _check_dim(x, n):
     return x
 
 
-def make_qp(graph: WeightedGraph, spec: PartitionSpec) -> QpProblem:
-    """Assemble M = A + Diag(d) with the standard diagonal shift."""
+def make_qp(graph: WeightedGraph, spec: PartitionSpec) -> ReducedQp:
+    """Root problem: M = A + Diag(d) with the standard diagonal shift, lin = M 1.
+
+    M is symmetric with diag(M) >= 0 and M_ii + M_jj >= 2 M_ij by
+    construction (WeightedGraph, build_diagonal_shift).
+    """
     spec.validate_for(graph.n)
     m = graph.weights + np.diag(build_diagonal_shift(graph))
-    return QpProblem(M=m, l=spec.l, u=spec.u)
+    # integer cut sums stay exact in floating point only below 2**53
+    if not np.abs(m).sum() < 2.0**53:
+        raise ValueError("sum of |M_ij| must be below 2**53 for exact cut values")
+    lin = m.sum(axis=1)
+    m.setflags(write=False)
+    lin.setflags(write=False)
+    return ReducedQp(free=np.arange(graph.n), M=m, lin=lin, const=0.0, lo=spec.l, hi=spec.u)
 
 
-def reduce(qp: QpProblem, label, order=None) -> ReducedQp:
-    """Fix the first len(label) vertices of `order` to the bits in `label`.
+def reduce(problem: ReducedQp, label, order=None) -> ReducedQp:
+    """Fix the first len(label) coordinates to the bits in `label`.
 
-    Raises InfeasibleSubproblemError when the remaining budget window cannot
-    be met (hi < 0 or lo > number of free coordinates).
+    Given an order, the coordinates are first permuted by it (one copy of M).
+    The fixed block is then split off by slicing, so the child's M is a view of its
+    parent's and lin and const cost O(n * len(label)).  Raises
+    InfeasibleSubproblemError when the remaining budget window cannot be met
+    (hi < 0 or lo > number of free coordinates).
     """
-    n = qp.n
-    if order is None:
-        order = np.arange(n)
-    order = np.asarray(order, dtype=int)
-    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
-        raise ValueError("order must be a permutation of range(n)")
+    n = problem.n
+    m, lin, free = problem.M, problem.lin, problem.free
+    if order is not None:
+        order = np.asarray(order, dtype=int)
+        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError("order must be a permutation of range(n)")
+        m, lin, free = m[np.ix_(order, order)], lin[order], free[order]
     bits = np.asarray(label, dtype=float)
     if bits.size > n:
         raise ValueError("label longer than the vertex count")
@@ -225,24 +175,19 @@ def reduce(qp: QpProblem, label, order=None) -> ReducedQp:
         raise ValueError("label entries must be 0 or 1")
 
     i = bits.size
-    fixed = order[:i]
-    free = order[i:]
     ones = int(bits.sum())
-    lo = qp.l - ones
-    hi = qp.u - ones
-    if hi < 0 or lo > free.size:
+    lo = problem.lo - ones
+    hi = problem.hi - ones
+    if hi < 0 or lo > n - i:
         raise InfeasibleSubproblemError(
             f"label {tuple(int(b) for b in bits)} leaves budget [{lo}, {hi}] "
-            f"for {free.size} free coordinates"
+            f"for {n - i} free coordinates"
         )
-
-    m_ff = qp.M[np.ix_(free, free)]
-    if i == 0:
-        lin = qp.lin.copy()
-        const = 0.0
-    else:
-        m_fp = qp.M[np.ix_(free, fixed)]
-        m_pp = qp.M[np.ix_(fixed, fixed)]
-        lin = qp.lin[free] - 2.0 * (m_fp @ bits)
-        const = float(qp.lin[fixed] @ bits - bits @ (m_pp @ bits))
-    return ReducedQp(free=free, quad=m_ff, lin=lin, const=const, lo=lo, hi=hi)
+    return ReducedQp(
+        free=free[i:],
+        M=m[i:, i:],
+        lin=lin[i:] - 2.0 * (m[i:, :i] @ bits),
+        const=problem.const + float(lin[:i] @ bits - bits @ (m[:i, :i] @ bits)),
+        lo=lo,
+        hi=hi,
+    )

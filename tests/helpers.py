@@ -165,11 +165,11 @@ def improving_move_exists(problem, x, tol=None):
     every move that keeps x + alpha d feasible for small alpha > 0.
     """
     if tol is None:
-        q = problem.quad
+        q = problem.M
         tol = 1e-6 * max(1.0, float(np.abs(q).sum(axis=1).max()))
     x = np.asarray(x, dtype=float)
     g = problem.grad(x)
-    q = problem.quad
+    q = problem.M
     d = np.diag(q)
     n = problem.n
     s = float(x.sum())

@@ -31,6 +31,21 @@ def test_prune_threshold():
     assert qc.prune_threshold(3.5, False, 1e-6) == pytest.approx(3.5 - 1e-6)
 
 
+def test_root_bound_does_not_depend_on_vertex_labels():
+    # a relabelled graph is the same problem, so it has the same root bound
+    rng = np.random.default_rng(5)
+    for seed in (1, 2, 3):
+        g = qc.gen_random(10, 0.5, seed)
+        perm = rng.permutation(g.n)
+        h = qc.WeightedGraph(g.weights[np.ix_(perm, perm)])
+        spec = qc.PartitionSpec(5, 5)
+        for bound in ("sdp", "eig"):
+            config = BnbConfig(bound=bound, max_nodes=1)
+            a = qc.solve(g, spec, config).root_bound
+            b = qc.solve(h, spec, config).root_bound
+            assert b == pytest.approx(a, rel=1e-6, abs=1e-6), (seed, bound)
+
+
 def test_k2_three_nodes():
     g = qc.WeightedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
     sol = qc.solve(g, qc.PartitionSpec(1, 1))

@@ -73,7 +73,7 @@ def test_sdp_shift_handles_negative_diagonal():
 
 @pytest.mark.parametrize("w12", [1e200, 1e150, 3e15])
 def test_sdp_shift_near_the_float_range_repairs_with_warning(w12):
-    # path 1-2-3 with a huge first edge, outside what QpProblem accepts: the
+    # path 1-2-3 with a huge first edge, beyond make_qp's 2**53 limit: the
     # barrier's Cholesky fails at the Newton iterate, and the shift must come
     # from the repair step, flagged and still certified
     w = np.zeros((3, 3))
@@ -194,7 +194,7 @@ def test_root_relaxation_is_convex_in_branching_order():
     assert not np.array_equal(red.free, np.arange(g.n))
     rel = qc.build_relaxation(red, qc.sdp_shift(qp.M))
     scale = max(1.0, np.abs(qp.M).sum(axis=1).max())
-    assert float(np.linalg.eigvalsh(-rel.quad)[0]) >= -1e-8 * scale
+    assert float(np.linalg.eigvalsh(-rel.M)[0]) >= -1e-8 * scale
 
 
 def test_build_relaxation_underestimates_and_is_convex():
@@ -211,7 +211,7 @@ def test_build_relaxation_underestimates_and_is_convex():
                     x = rng.random(red.n)
                     assert rel.value(x) <= red.value(x) + 1e-8
                     d = rng.standard_normal(red.n)
-                    assert -2.0 * (d @ rel.quad @ d) >= -1e-7 * max(1.0, d @ d)
+                    assert -2.0 * (d @ rel.M @ d) >= -1e-7 * max(1.0, d @ d)
                 y = (rng.random(red.n) < 0.5).astype(float)
                 assert rel.value(y) == pytest.approx(red.value(y), abs=1e-9)
 

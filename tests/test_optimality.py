@@ -63,7 +63,8 @@ def test_check_first_order_at_oracle_optimum():
 def test_local_min_flag_on_pair_violation():
     # identical fractional pair with slack pair condition cannot be optimal
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
-    qp = qc.QpProblem(M=w + np.diag([3.0, 3.0]), l=1, u=1)  # 3+3 > 2*1
+    m = w + np.diag([3.0, 3.0])  # 3+3 > 2*1
+    qp = qc.ReducedQp(free=np.arange(2), M=m, lin=m.sum(axis=1), const=0.0, lo=1, hi=1)
     x = np.array([0.5, 0.5])
     a = qc.check_local_min(qp, x)
     assert a.p1 and not a.p2
@@ -128,7 +129,7 @@ def test_descent_direction_p4_single_coordinate():
     # slack budget window, lambda = 0, zero gradient at a coordinate with a
     # positive diagonal: the single-coordinate move must strictly descend
     m = np.diag([2.0, 1.0])  # isolated vertices with positive shifts
-    qp = qc.QpProblem(M=m, l=0, u=2)
+    qp = qc.ReducedQp(free=np.arange(2), M=m, lin=m.sum(axis=1), const=0.0, lo=0, hi=2)
     x = np.array([0.5, 0.0])
     a = qc.check_local_min(qp, x)
     assert a.p1 and not a.p4 and not a.local_min

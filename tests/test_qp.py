@@ -30,8 +30,6 @@ def test_qp_rejects_weights_beyond_exact_cut_sums():
     with pytest.raises(ValueError, match="2\\*\\*53"):
         qc.make_qp(p3(3e15), spec)  # sum |M_ij| = 1.2e16 + 3
     assert np.abs(qc.make_qp(p3(2.2e15), spec).M).sum() < 2.0**53
-    with pytest.raises(ValueError, match="2\\*\\*53"):
-        qc.QpProblem(M=np.diag([2.0**52, 2.0**52]), l=0, u=2)  # exactly 2**53
 
 
 def test_objective_examples():
@@ -70,6 +68,53 @@ def test_reduce_identity_and_budgets():
     assert red.value(x) == pytest.approx(qp.value(x), abs=1e-12)
 
 
+def test_reduce_root_in_branching_order_is_the_problem():
+    # the search root is the problem with its coordinates permuted: the same
+    # function, with lin permuted along with M
+    rng = np.random.default_rng(4)
+    for seed in range(3):
+        g = random_graph(10, 0.5, seed)
+        qp = qc.make_qp(g, qc.PartitionSpec(3, 7))
+        order = rng.permutation(10)
+        assert not np.array_equal(order, np.arange(10))
+        root = qc.reduce(qp, (), order)
+        assert np.array_equal(root.free, order)
+        points = [rng.random(10) for _ in range(10)]
+        points += [rng.integers(0, 2, size=10).astype(float) for _ in range(10)]
+        for z in points:
+            assert root.value(z[order]) == pytest.approx(qp.value(z), rel=1e-12, abs=1e-12)
+            assert np.allclose(root.grad(z[order]), qp.grad(z)[order], rtol=1e-12, atol=1e-12)
+
+
+def test_reduce_composes_and_children_view_the_parent_matrix():
+    # fixing a then b equals fixing a + b at once; the child's M is a view of
+    # its parent's, so deriving a child costs O(n) beyond the slicing
+    rng = np.random.default_rng(6)
+    g = random_graph(9, 0.7, 2)
+    qp = qc.make_qp(g, qc.PartitionSpec(2, 6))
+    order = rng.permutation(9)
+    checked = 0
+    for a in [()] + list(itertools.product((0, 1), repeat=2)):
+        for b in [(), (0,), (1,), (1, 0), (0, 1, 1)]:
+            try:
+                want = qc.reduce(qp, a + b, order)
+            except InfeasibleSubproblemError:
+                with pytest.raises(InfeasibleSubproblemError):
+                    qc.reduce(qc.reduce(qp, a, order), b)
+                continue
+            parent = qc.reduce(qp, a, order)
+            child = qc.reduce(parent, b)
+            assert np.array_equal(child.free, want.free)
+            assert (child.lo, child.hi) == (want.lo, want.hi)
+            assert np.shares_memory(child.M, parent.M)
+            for _ in range(5):
+                x = rng.random(child.n)
+                assert child.value(x) == pytest.approx(want.value(x), rel=1e-12, abs=1e-12)
+                assert np.allclose(child.grad(x), want.grad(x), rtol=1e-12, atol=1e-12)
+            checked += 1
+    assert checked >= 20
+
+
 def test_reduce_fix_middle_vertex():
     qp = qc.make_qp(path_graph(3), qc.PartitionSpec(1, 2))
     red = qc.reduce(qp, (1,), order=[1, 0, 2])
@@ -102,8 +147,8 @@ def test_reduce_consistency_exhaustive_depth3():
                     red = qc.reduce(qp, bits, order)
                 except InfeasibleSubproblemError:
                     continue
-                assert red.lo == qp.l - sum(bits)
-                assert red.hi == qp.u - sum(bits)
+                assert red.lo == qp.lo - sum(bits)
+                assert red.hi == qp.hi - sum(bits)
                 for _ in range(5):
                     xt = rng.random(red.n)
                     full = np.empty(8)
