@@ -7,6 +7,18 @@ bound is expanded next.  Upper bounds come from the solver's own pieces:
 nonconvex gradient-projection descent started at the relaxation solution,
 then constructive rounding.  The local-minimum test of qpcut.optimality is
 not on the solve path.
+
+A child is bounded first and gets a candidate second.  Its relaxation is
+given the prune threshold of the incumbent as a cutoff and stops as soon as
+its certified bound (valid at any iterate) is above it; such a child, or
+any child whose bound is above the threshold, is pruned without a
+candidate.  That candidate would cost at least the bound: with integral
+weights at least the incumbent, otherwise less than EPS below it, the slack
+the prune rule already grants.  all_relaxations_converged is true when
+every relaxation met the residual rule or stopped at a bound above its
+cutoff, and false when one hit its iteration cap or stalled first.  At exit,
+lower_bound is the value when optimal and otherwise the smallest bound
+still open, which best-first order makes a bound on the optimum.
 """
 
 from __future__ import annotations
@@ -61,7 +73,12 @@ class Solution:
     incumbent_trace: list = field(default_factory=list)
     wall_time: float = 0.0
     root_bound: float = float("-inf")
+    # certified lower bound on the optimum at exit: value when optimal, else
+    # the smallest bound still open (up to the EPS prune slack, as for value)
+    lower_bound: float = float("-inf")
     best_x: np.ndarray | None = None
+    # every relaxation met the residual rule or stopped at a certified bound
+    # above its cutoff; false when one hit its iteration cap or stalled first
     all_relaxations_converged: bool = True
     shift: DcShift | None = None  # the certified shift every node bound used
 
@@ -100,11 +117,13 @@ def _assemble_full(n: int, order, label, free, y_free) -> np.ndarray:
     return x
 
 
-def _eval_node(qp, shift, order, parent, label, parent_bound, x_start, config):
+def _eval_node(qp, shift, order, parent, label, parent_bound, x_start, config, cutoff):
     """Bound one node; x_start (projected here) starts its relaxation solve.
 
     The root (empty label) is qp in branching order; any other node is its
-    parent's subproblem with the last vertex of its label fixed.
+    parent's subproblem with the last vertex of its label fixed.  A node
+    whose bound is above cutoff is pruned as soon as its relaxation shows
+    it, and gets no candidate: the candidate would cost at least the bound.
     """
     try:
         red = reduce(parent, label[-1:]) if label else reduce(qp, (), order)
@@ -113,7 +132,13 @@ def _eval_node(qp, shift, order, parent, label, parent_bound, x_start, config):
     if red.n:
         rel = build_relaxation(red, shift)
         x0 = project(x_start, red.fset)
-        report, cert = solve_convex(rel, x0, tol=config.tol, max_iter=SOLVER_MAX_ITER)
+        report, cert = solve_convex(
+            rel, x0, tol=config.tol, max_iter=SOLVER_MAX_ITER, cutoff=cutoff
+        )
+        bound = max(cert, parent_bound)
+        converged = report.converged or report.cutoff_stop
+        if bound > cutoff:
+            return {"kind": "pruned", "bound": bound, "converged": converged}
         y_free, _ = upper_bound_from(red, report.x, config.tol)
     else:
         y_free = np.zeros(0)  # a leaf: every vertex is fixed
@@ -123,10 +148,10 @@ def _eval_node(qp, shift, order, parent, label, parent_bound, x_start, config):
         return {"kind": "leaf", "bound": value, "cand": (full, value)}
     return {
         "kind": "open",
-        "bound": max(cert, parent_bound),
+        "bound": bound,
         "red": red,
         "relax_x": report.x,
-        "converged": report.converged,
+        "converged": converged,
         "cand": (full, value),
     }
 
@@ -169,19 +194,22 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
 
     while True:
         for parent, label, parent_bound, x_start in batch:
-            res = _eval_node(qp, shift, order, parent, label, parent_bound, x_start, config)
+            cutoff = prune_threshold(best_val, integral)
+            res = _eval_node(qp, shift, order, parent, label, parent_bound, x_start, config, cutoff)
             node_count += 1
             if res["kind"] == "infeasible":
                 continue
             node_bounds.append((label, res["bound"]))
+            if not res.get("converged", True):
+                all_converged = False
+            if res["kind"] == "pruned":
+                continue
             full, val = res["cand"]
             if val < best_val:
                 best_y, best_val = full, val
                 incumbent_trace.append((node_count, val))
             if res["kind"] == "leaf":
                 continue
-            if not res["converged"]:
-                all_converged = False
             if res["bound"] > prune_threshold(best_val, integral):
                 continue
             heapq.heappush(heap, (res["bound"], -len(label), seq, label, res["red"], res["relax_x"]))
@@ -202,6 +230,8 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
         # a child's free vertices are its parent's minus the first one
         batch = [(red, label + (bit,), bound, relax_x[1:]) for bit in (0, 1)]
 
+    # best-first: no open subtree holds anything below the smallest open bound
+    lower_bound = best_val if status == "optimal" else min(heap[0][0], best_val)
     v0, v1 = partition_from_binary(best_y)
     return Solution(
         v0=v0,
@@ -214,6 +244,7 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
         incumbent_trace=incumbent_trace,
         wall_time=time.perf_counter() - t_start,
         root_bound=node_bounds[0][1],  # a validated spec leaves the root feasible
+        lower_bound=float(lower_bound),
         best_x=best_y,
         all_relaxations_converged=all_converged,
         shift=shift,

@@ -264,7 +264,9 @@ def build_relaxation(reduced: ReducedQp, shift: DcShift) -> ReducedQp:
     (slope, offset) the affine underestimate of -x^T Diag(lam) x, is
     f_L <= f on the feasible set and is again a quadratic
     (const + offset) + (lin + slope) . x - x^T (M - Diag(lam)) x
-    on the same coordinates, window and feasible set.  Its Hessian
+    on the same coordinates, window and feasible set.  The diagonal term is
+    carried as ReducedQp.lam rather than formed, so the relaxation's M is
+    the subproblem's own (no O(n^2) copy per node).  Its Hessian
     2 (Diag(lam) - M) is PSD: lam is the shift certified for the full
     matrix, restricted to the free coordinates (in the subproblem's order),
     and a principal submatrix of a PSD matrix is PSD, so no per-node
@@ -274,10 +276,7 @@ def build_relaxation(reduced: ReducedQp, shift: DcShift) -> ReducedQp:
     """
     lam = shift.restrict(reduced.free)
     slope, offset = affine_underestimate(lam, reduced.fset)
-    return replace(
-        reduced, M=reduced.M - np.diag(lam), lin=reduced.lin + slope,
-        const=reduced.const + offset,
-    )
+    return replace(reduced, lin=reduced.lin + slope, const=reduced.const + offset, lam=lam)
 
 
 # ----------------------------------------------------------------------------

@@ -115,6 +115,7 @@ def cmd_solve(args) -> int:
             "wall_time_s": round(sol.wall_time, 6),
             "status": sol.status,
             "root_lb": sol.root_bound,
+            "lower_bound": sol.lower_bound,
             "shift_warning": sol.shift.warning,
             "psd_tol": sol.shift.psd_tol,
             "relaxations_converged": sol.all_relaxations_converged,

@@ -7,7 +7,10 @@ x_{k+1} = x_k + t* (P(x_k - alpha_k g_k) - x_k), where alpha_k is a
 safeguarded Barzilai-Borwein steplength and t* minimizes the quadratic
 exactly on the segment (best endpoint when the segment quadratic is
 concave).  The stopping rule is the unit-step projected-gradient residual
-||P(x - g) - x|| <= tol.
+||P(x - g) - x|| <= tol.  A relaxation solve given a cutoff also stops as
+soon as its certified lower bound, checked at iterations 0, 1, 2, 4, 8, ...,
+is above the cutoff: branch and bound then prunes the node, and more
+iterations could not change that.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ class SolveReport:
     residual: float
     iterations: int
     converged: bool
+    cutoff_stop: bool = False  # stopped because the certified bound passed the cutoff
 
 
 def project(x, fset: FeasibleSet) -> np.ndarray:
@@ -118,20 +122,26 @@ def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
     return y
 
 
-def _gp_loop(problem, x0, tol, max_iter):
-    """Gradient projection on a quadratic problem from x0.
+def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
+    """Gradient projection on a quadratic problem from x0; returns (report, bound).
 
-    The Hessian of const + lin . x - x^T M x is -2 M.  The gradient is
-    evaluated once at x0 and then carried along exactly as g + t * Hd, so
-    each step costs one matrix-vector product, which also gives the segment
-    curvature d^T H d and the Barzilai-Borwein step d^T d / d^T H d.
+    The Hessian of const + lin . x - x^T (M - Diag(lam)) x is -2 times
+    problem.matvec.  The gradient is evaluated once at x0 and then carried
+    along exactly as g + t * Hd, so each step costs one matrix-vector
+    product, which also gives the segment curvature d^T H d and the
+    Barzilai-Borwein step d^T d / d^T H d.
     Rounding in the carried gradient can only affect the iterates, never a
     certified bound (certified_lower_bound recomputes the exact gradient at
-    the final point) nor a converged report: a carried residual within tol
-    is checked again at the exact gradient, which the loop then carries on.
+    its point) nor a converged report: a carried residual within tol is
+    checked again at the exact gradient, which the loop then carries on.
+
+    With a cutoff, problem must be a convex relaxation: its certified lower
+    bound is computed at iterations 0, 1, 2, 4, 8, ... and the loop stops
+    when it is above the cutoff, returning that bound; otherwise the bound
+    is None.  No certified bound exceeds min f_L, so the checks end once
+    f_L(x) is at most the cutoff.  They never alter the iterates.
     """
     fset = problem.fset
-    m = problem.M
     x = np.asarray(x0, dtype=float).copy()
     if not fset.contains(x, tol=1e-9):
         raise ValueError("starting point is infeasible")
@@ -142,6 +152,7 @@ def _gp_loop(problem, x0, tol, max_iter):
 
     iterations = 0
     converged = False
+    bound = None
     for iterations in range(max_iter + 1):
         r = project(x - g, fset) - x
         residual = math.sqrt(r @ r)
@@ -153,13 +164,21 @@ def _gp_loop(problem, x0, tol, max_iter):
         if residual <= tol:
             converged = True
             break
+        if cutoff is not None and not iterations & (iterations - 1):
+            if problem.value(x) <= cutoff:
+                cutoff = None  # no certified bound exceeds min f_L <= f_L(x)
+            else:
+                cert = certified_lower_bound(problem, x)
+                if cert > cutoff:
+                    bound = cert
+                    break
         if iterations == max_iter:
             break
         d = project(x - alpha * g, fset) - x
         if not d.any():
             break  # fixed point for this steplength: stationary
         a = float(g @ d)  # < 0 by the projection inequality
-        hd = -2.0 * (m @ d)
+        hd = -2.0 * problem.matvec(d)
         b = float(d @ hd)
         if b > 0.0:
             t = min(1.0, -a / b)
@@ -174,22 +193,30 @@ def _gp_loop(problem, x0, tol, max_iter):
         alpha = float(d @ d) / b if t * t * b > 1e-30 else ALPHA_MAX
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
 
-    return SolveReport(
-        x=x, value=problem.value(x), residual=residual, iterations=iterations, converged=converged
+    report = SolveReport(
+        x=x, value=problem.value(x), residual=residual, iterations=iterations,
+        converged=converged, cutoff_stop=bound is not None,
     )
+    return report, bound
 
 
-def solve_convex(rel: ReducedQp, x0=None, tol: float = 1e-4, max_iter: int = 10000):
+def solve_convex(rel: ReducedQp, x0=None, tol: float = 1e-4, max_iter: int = 10000,
+                 cutoff: float | None = None):
     """Minimize the convex relaxation; returns (report, certified lower bound).
 
     The objective is monotone nonincreasing across accepted steps, and the
     returned bound is certified at the final iterate, so it stays sound even
-    when the iteration cap is hit.
+    when the iteration cap is hit.  Given a cutoff, the solve may stop early
+    with report.cutoff_stop set (and converged not set); the bound returned
+    is then the one that passed the cutoff.  The checks never alter the
+    iterates, so a solve that no check stops returns what cutoff=None does.
     """
     if x0 is None:
         x0 = project(np.full(rel.n, 0.5), rel.fset)
-    report = _gp_loop(rel, x0, tol, max_iter)
-    return report, certified_lower_bound(rel, report.x)
+    report, bound = _gp_loop(rel, x0, tol, max_iter, cutoff)
+    if bound is None:
+        bound = certified_lower_bound(rel, report.x)
+    return report, bound
 
 
 def descend_nonconvex(problem, x0, tol: float = 1e-4, max_iter: int = 2000) -> SolveReport:
@@ -199,4 +226,4 @@ def descend_nonconvex(problem, x0, tol: float = 1e-4, max_iter: int = 2000) -> S
     picks the better endpoint, so the objective never increases.  Terminates
     at the stationarity residual or the iteration cap.
     """
-    return _gp_loop(problem, x0, tol, max_iter)
+    return _gp_loop(problem, x0, tol, max_iter)[0]

@@ -9,6 +9,7 @@ same shape on the free coordinates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,22 +56,32 @@ class FeasibleSet:
             raise ValueError("p and q must be 1-d arrays of equal length")
         if np.any(p > q):
             raise ValueError("need p <= q componentwise")
-        n = p.shape[0]
-        qsum = float(q.sum())
-        lo, hi = float(self.lo), float(self.hi)
+        self._freeze(self.lo, self.hi, *_box_arrays(p, q))
+
+    @classmethod
+    def unit_box(cls, n: int, lo: float, hi: float) -> FeasibleSet:
+        """[0, 1]^n with the window [lo, hi].
+
+        Every unit box of one size shares its read-only arrays; only the
+        window and is_empty are set per instance.
+        """
+        fset = object.__new__(cls)
+        fset._freeze(lo, hi, *_unit_box_arrays(n))
+        return fset
+
+    def _freeze(self, lo, hi, p, q, bounds, steps, qsum, psum):
+        lo, hi = float(lo), float(hi)
         fields = {
             "p": p,
             "q": q,
             "lo": lo,
             "hi": hi,
             "qsum": qsum,
-            "is_empty": lo > qsum or hi < float(p.sum()) or lo > hi,
-            "bounds": np.stack((q, p)),
-            "steps": np.repeat((1.0, -1.0), n),
+            "is_empty": lo > qsum or hi < psum or lo > hi,
+            "bounds": bounds,
+            "steps": steps,
         }
         for name, val in fields.items():
-            if isinstance(val, np.ndarray):
-                val.setflags(write=False)
             object.__setattr__(self, name, val)
 
     @property
@@ -81,24 +92,42 @@ class FeasibleSet:
         x = np.asarray(x, dtype=float)
         if x.shape != self.p.shape:
             return False
-        if np.any(x < self.p - tol) or np.any(x > self.q + tol):
+        if (x < self.p - tol).any() or (x > self.q + tol).any():
             return False
         s = x.sum()
         slack = tol * max(1.0, self.dim)
         return self.lo - slack <= s <= self.hi + slack
 
 
+def _box_arrays(p, q):
+    """p, q, the bounds as rows [q, p] and the +1 / -1 steps, all read-only;
+    then sum(q) and sum(p)."""
+    bounds = np.stack((q, p))
+    steps = np.repeat((1.0, -1.0), p.shape[0])
+    for arr in (p, q, bounds, steps):
+        arr.setflags(write=False)
+    return p, q, bounds, steps, float(q.sum()), float(p.sum())
+
+
+@functools.cache  # one entry per dimension
+def _unit_box_arrays(n: int):
+    return _box_arrays(np.zeros(n), np.ones(n))
+
+
 @dataclass(frozen=True)
 class ReducedQp:
     """The problem on the free coordinates after fixing some vertices.
 
-    f(x) = const + lin . x - x^T M x, with the remaining budget window
-    [lo, hi] (raw values; they may extend beyond what the box can reach).
-    free[k] is the vertex that coordinate k stands for.  make_qp returns the
-    root (every vertex free, const = 0) and reduce derives the rest.
-    fset is built once here when not given, and dataclasses.replace passes
-    it on, so a problem derived on the same coordinates and window (the node
-    relaxation) shares it.
+    f(x) = const + lin . x - x^T (M - Diag(lam)) x, with the remaining
+    budget window [lo, hi] (raw values; they may extend beyond what the box
+    can reach).  free[k] is the vertex that coordinate k stands for.
+    make_qp returns the root (every vertex free, const = 0) and reduce
+    derives the rest; for those lam is None (no diagonal term).
+    build_relaxation sets lam, so a relaxation keeps its subproblem's M (a
+    view of the parent's) and matvec forms (M - Diag(lam)) x as
+    M x - lam * x.  fset is built once here when not given, and
+    dataclasses.replace passes it on, so a problem derived on the same
+    coordinates and window (the node relaxation) shares it.
     """
 
     free: np.ndarray
@@ -108,24 +137,28 @@ class ReducedQp:
     lo: int
     hi: int
     fset: FeasibleSet | None = field(default=None, repr=False, compare=False)
+    lam: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.fset is None:
-            n = self.n
-            fset = FeasibleSet(p=np.zeros(n), q=np.ones(n), lo=float(self.lo), hi=float(self.hi))
-            object.__setattr__(self, "fset", fset)
+            object.__setattr__(self, "fset", FeasibleSet.unit_box(self.n, self.lo, self.hi))
 
     @property
     def n(self) -> int:
         return self.free.shape[0]
 
+    def matvec(self, x) -> np.ndarray:
+        """(M - Diag(lam)) x."""
+        mx = self.M @ x
+        return mx if self.lam is None else mx - self.lam * x
+
     def value(self, x) -> float:
         x = _check_dim(x, self.n)
-        return float(self.const + self.lin @ x - x @ (self.M @ x))
+        return float(self.const + self.lin @ x - x @ self.matvec(x))
 
     def grad(self, x) -> np.ndarray:
         x = _check_dim(x, self.n)
-        return self.lin - 2.0 * (self.M @ x)
+        return self.lin - 2.0 * self.matvec(x)
 
 
 def _check_dim(x, n):
@@ -161,6 +194,8 @@ def reduce(problem: ReducedQp, label, order=None) -> ReducedQp:
     InfeasibleSubproblemError when the remaining budget window cannot be met
     (hi < 0 or lo > number of free coordinates).
     """
+    if problem.lam is not None:
+        raise ValueError("reduce takes a subproblem, not a relaxation")
     n = problem.n
     m, lin, free = problem.M, problem.lin, problem.free
     if order is not None:

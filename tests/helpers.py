@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 import qpcut as qc
 
@@ -65,6 +66,24 @@ def corpus(sizes="small"):
         hi = min(n - 1, n // 2 + 2)
         instances.append((f"{name}/window", g, qc.PartitionSpec(lo, max(lo, hi))))
     return instances
+
+
+@st.composite
+def cut_instances(draw, max_n=10):
+    """(graph, spec) with n <= max_n, signed weights, integral or fractional
+    (thirds), and a window of width 0, 1 or more."""
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    w = rng.integers(-4, 10, (n, n)) * (rng.random((n, n)) < density)
+    w = np.triu(w, 1).astype(float)
+    if draw(st.booleans()):
+        w /= 3.0
+    width = draw(st.sampled_from([0, 1, None]))
+    if width is None:
+        width = draw(st.integers(2, n))
+    lo = draw(st.integers(0, n - width))
+    return qc.WeightedGraph(w + w.T), qc.PartitionSpec(lo, lo + width)
 
 
 def fd_gradient(fun, x, h=1e-6):

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import qpcut as qc
-from qpcut.bnb import BnbConfig, upper_bound_from
-from helpers import complete_graph, label_key, path_graph, random_graph, subtree_minima
+from qpcut.bnb import EPS, BnbConfig, upper_bound_from
+from helpers import (
+    complete_graph, cut_instances, label_key, path_graph, random_graph, subtree_minima,
+)
 
 
 def test_order_vertices():
@@ -227,3 +230,24 @@ def test_eig_variant_on_small_graph():
     opt, _ = qc.brute_force(g, spec)
     sol = qc.solve(g, spec, BnbConfig(bound="eig"))
     assert sol.value == opt == 1.0
+
+
+@pytest.mark.parametrize("bound", ["sdp", "eig"])
+@settings(max_examples=150)
+@given(case=cut_instances())
+def test_bound_first_search_is_exact_and_sound(bound, case):
+    # children pruned by their own bound get no candidate, and their
+    # relaxations stop at the cutoff; neither may cost the optimum or a bound
+    g, spec = case
+    opt, _ = qc.brute_force(g, spec)
+    sol = qc.solve(g, spec, BnbConfig(bound=bound))
+    assert sol.status == "optimal"
+    if g.is_integral:
+        assert sol.value == opt
+    else:
+        assert opt - 1e-9 <= sol.value <= opt + EPS
+    levels = subtree_minima(g, spec, qc.order_vertices(g))
+    for label, b in sol.node_bounds:
+        sub_opt = levels[len(label)][label_key(label)]
+        assert b <= sub_opt + 1e-6 * (1 + abs(sub_opt)), (label, b, sub_opt)
+    assert sol.lower_bound == sol.value

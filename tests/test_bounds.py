@@ -194,7 +194,7 @@ def test_root_relaxation_is_convex_in_branching_order():
     assert not np.array_equal(red.free, np.arange(g.n))
     rel = qc.build_relaxation(red, qc.sdp_shift(qp.M))
     scale = max(1.0, np.abs(qp.M).sum(axis=1).max())
-    assert float(np.linalg.eigvalsh(-rel.M)[0]) >= -1e-8 * scale
+    assert float(np.linalg.eigvalsh(np.diag(rel.lam) - rel.M)[0]) >= -1e-8 * scale
 
 
 def test_build_relaxation_underestimates_and_is_convex():
@@ -211,7 +211,7 @@ def test_build_relaxation_underestimates_and_is_convex():
                     x = rng.random(red.n)
                     assert rel.value(x) <= red.value(x) + 1e-8
                     d = rng.standard_normal(red.n)
-                    assert -2.0 * (d @ rel.M @ d) >= -1e-7 * max(1.0, d @ d)
+                    assert -2.0 * (d @ rel.matvec(d)) >= -1e-7 * max(1.0, d @ d)
                 y = (rng.random(red.n) < 0.5).astype(float)
                 assert rel.value(y) == pytest.approx(red.value(y), abs=1e-9)
 

@@ -48,6 +48,16 @@ def test_solve_reports_solver_health(capsys):
     assert rep["relaxations_converged"] is True
 
 
+def test_node_limit_reports_a_certified_lower_bound(capsys):
+    code, rep = run_cli(
+        capsys, "solve", "--gen", "mixed:3x4", "--seed", "1", "--bisection", "--max-nodes", "3"
+    )
+    assert code == 2 and rep["status"] == "node_limit"
+    opt, _ = qc.brute_force(qc.gen_mixed(3, 4, seed=1), qc.PartitionSpec(6, 6))
+    assert rep["root_lb"] <= rep["lower_bound"] <= opt <= rep["opt_value"]
+    assert rep["lower_bound"] < rep["opt_value"]  # the gap is still open
+
+
 def test_bound_command(capsys):
     code, rep = run_cli(
         capsys, "bound", "--gen", "random:12x0.4", "--seed", "3", "--bisection", "--oracle"

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpcut as qc
 from qpcut.qp import FeasibleSet
-from helpers import path_graph, random_graph, projection_oracle
+from helpers import cut_instances, path_graph, random_graph, projection_oracle
 
 
 def unit_set(n, lo, hi):
@@ -171,3 +175,77 @@ def test_carried_gradient_cannot_fake_convergence(seed, case):
                     assert exact_residual(red.grad, out.x, fs) <= tol
                     checked += 1
     assert checked >= 18
+
+
+@st.composite
+def node_relaxations(draw, kind):
+    """(rel, x0, tol): the relaxation of a feasible node of a random instance
+    in branching order, under the given shift kind, and a feasible start."""
+    g, spec = draw(cut_instances())
+    qp = qc.make_qp(g, spec)
+    order = qc.order_vertices(g)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = np.zeros(g.n)  # a feasible point, whose prefix labels a feasible node
+    y[rng.permutation(g.n)[: draw(st.integers(spec.l, spec.u))]] = 1.0
+    label = tuple(y[order][: draw(st.integers(0, g.n - 1))])
+    red = qc.reduce(qp, label, order)
+    shift = qc.sdp_shift(qp.M) if kind == "sdp" else qc.sigma_shift(qp.M)
+    rel = qc.build_relaxation(red, shift)
+    x0 = qc.project(rng.random(red.n) * 1.5 - 0.25, rel.fset)
+    return rel, x0, draw(st.sampled_from([1e-4, 1e-7]))
+
+
+CUT_MAX_ITER = 300
+
+
+def checkpoint_bounds(rel, x0, tol):
+    """The uncut solve, and (iteration, certified bound, iterate) at every
+    iteration 0, 1, 2, 4, ... that a cutoff solve would check."""
+    full, _ = qc.solve_convex(rel, x0, tol=tol, max_iter=CUT_MAX_ITER)
+    checks = []
+    j = 0
+    while j < full.iterations or (j == full.iterations and not full.converged):
+        x = qc.solve_convex(rel, x0, tol=tol, max_iter=j)[0].x  # the j-th iterate
+        checks.append((j, qc.certified_lower_bound(rel, x), x))
+        j = 2 * j or 1
+    return full, checks
+
+
+@pytest.mark.parametrize("kind", ["sdp", "eig"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_cutoff_stop_returns_a_certificate_above_the_cutoff(kind, data):
+    rel, x0, tol = data.draw(node_relaxations(kind))
+    full, checks = checkpoint_bounds(rel, x0, tol)
+    if not checks:
+        return  # converged at the start point: nothing is checked
+    _, target, _ = data.draw(st.sampled_from(checks))
+    cutoff = target - data.draw(st.sampled_from([1e-9, 0.5, 5.0])) * (1.0 + abs(target))
+    # the first checked iterate whose bound passes the cutoff ends the solve
+    first, bound_there, x_there = next(c for c in checks if c[1] > cutoff)
+    report, bound = qc.solve_convex(rel, x0, tol=tol, max_iter=CUT_MAX_ITER, cutoff=cutoff)
+    assert report.cutoff_stop and not report.converged
+    assert bound > cutoff
+    assert bound == qc.certified_lower_bound(rel, report.x) == bound_there
+    assert report.iterations == first <= full.iterations
+    assert np.array_equal(report.x, x_there)
+
+
+@pytest.mark.parametrize("kind", ["sdp", "eig"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_cutoff_that_never_passes_leaves_the_solve_unchanged(kind, data):
+    # cutoff=None is the plain solve; a cutoff no checked bound passes must
+    # not alter a single iterate or any field of the report
+    rel, x0, tol = data.draw(node_relaxations(kind))
+    full, checks = checkpoint_bounds(rel, x0, tol)
+    plain, plain_bound = qc.solve_convex(rel, x0, tol=tol, max_iter=CUT_MAX_ITER)
+    assert plain_bound == qc.certified_lower_bound(rel, plain.x)
+    assert not plain.cutoff_stop
+    cutoffs = [None, np.inf] + ([max(c[1] for c in checks)] if checks else [])
+    for cutoff in cutoffs:
+        report, bound = qc.solve_convex(rel, x0, tol=tol, max_iter=CUT_MAX_ITER, cutoff=cutoff)
+        for f in dataclasses.fields(qc.SolveReport):
+            a, b = getattr(report, f.name), getattr(plain, f.name)
+            assert np.array_equal(a, b), (cutoff, f.name, a, b)
+        assert bound == plain_bound

@@ -115,6 +115,21 @@ def test_reduce_composes_and_children_view_the_parent_matrix():
     assert checked >= 20
 
 
+def test_relaxation_keeps_the_subproblem_matrix():
+    # build_relaxation carries Diag(lam) beside M instead of forming M - Diag(lam)
+    g = random_graph(8, 0.6, 1)
+    qp = qc.make_qp(g, qc.PartitionSpec(2, 6))
+    red = qc.reduce(qc.reduce(qp, (1,), qc.order_vertices(g)), (0,))
+    rel = qc.build_relaxation(red, qc.sdp_shift(qp.M))
+    assert rel.M is red.M and rel.fset is red.fset
+    dense = rel.M - np.diag(rel.lam)
+    x = np.random.default_rng(0).random(red.n)
+    assert np.allclose(rel.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
+    assert rel.value(x) == pytest.approx(rel.const + rel.lin @ x - x @ dense @ x, rel=1e-12)
+    with pytest.raises(ValueError, match="relaxation"):
+        qc.reduce(rel, (1,))
+
+
 def test_reduce_fix_middle_vertex():
     qp = qc.make_qp(path_graph(3), qc.PartitionSpec(1, 2))
     red = qc.reduce(qp, (1,), order=[1, 0, 2])
@@ -175,3 +190,13 @@ def test_feasible_set_shape():
     assert fs.contains(np.array([1.0, 0.0, 0.5]))
     assert not fs.contains(np.array([1.0, 1.0, 1.0]))
     assert not fs.is_empty
+
+
+def test_unit_boxes_of_one_size_share_their_arrays():
+    for n, lo, hi in [(4, 1, 3), (4, 2, 2), (4, 5, 6), (4, -2, -1), (4, 3, 1), (0, 0, 0)]:
+        box = qc.FeasibleSet.unit_box(n, lo, hi)
+        want = qc.FeasibleSet(np.zeros(n), np.ones(n), lo, hi)
+        for name in ("p", "q", "lo", "hi", "qsum", "is_empty", "bounds", "steps"):
+            assert np.array_equal(getattr(box, name), getattr(want, name)), (n, lo, hi, name)
+        assert box.p is qc.FeasibleSet.unit_box(n, 0, n).p
+        assert not (box.p.flags.writeable or box.bounds.flags.writeable)
