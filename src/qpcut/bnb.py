@@ -1,24 +1,33 @@
 """Best-first branch and bound on the continuous quadratic formulation.
 
 Branching fixes vertices to 0/1 in a fixed order (heaviest total incident
-weight first).  Each open leaf carries a certified lower bound from the
-convex relaxation of its reduced subproblem; the leaf with the smallest
-bound is expanded next.  Upper bounds come from the solver's own pieces:
-nonconvex gradient-projection descent started at the relaxation solution,
-then constructive rounding.  The local-minimum test of qpcut.optimality is
-not on the solve path.
+weight first).  Every node is the subproblem of its label, a ReducedQp: the
+root is the problem in branching order and a child is its parent with one
+more vertex fixed.  Each open node carries a certified lower bound from the
+convex relaxation of its subproblem; the one with the smallest bound is
+expanded next.  Upper bounds come from the solver's own pieces: nonconvex
+gradient-projection descent started at the relaxation solution, then
+constructive rounding.  The local-minimum test of qpcut.optimality is not on
+the solve path.
 
-A child is bounded first and gets a candidate second.  Its relaxation is
+A node is bounded first and gets a candidate second.  Its relaxation is
 given the prune threshold of the incumbent as a cutoff and stops as soon as
-its certified bound (valid at any iterate) is above it; such a child, or
-any child whose bound is above the threshold, is pruned without a
-candidate.  That candidate would cost at least the bound: with integral
-weights at least the incumbent, otherwise less than EPS below it, the slack
-the prune rule already grants.  all_relaxations_converged is true when
-every relaxation met the residual rule or stopped at a bound above its
-cutoff, and false when one hit its iteration cap or stalled first.  At exit,
-lower_bound is the value when optimal and otherwise the smallest bound
-still open, which best-first order makes a bound on the optimum.
+its certified bound (valid at any iterate) is above it; such a node, or any
+node whose bound is above the threshold, is pruned without a candidate.
+That candidate would cost at least the bound: with integral weights at
+least the incumbent, otherwise less than EPS below it, the slack the prune
+rule already grants.  A candidate is valued on its own subproblem, whose
+const and lin hold the fixed vertices' share of the cut; with integral
+weights every term is an integer below 2**53 (make_qp checks the sum), so
+that value is the cut weight exactly.  A leaf (every vertex fixed) is worth
+its const, which is also its bound.  The full-length incumbent is assembled
+once, at exit.
+
+all_relaxations_converged is true when every relaxation met the residual
+rule or stopped at a bound above its cutoff, and false when one hit its
+iteration cap or stalled first.  At exit, lower_bound is the value when
+optimal and otherwise the smallest bound still open, which best-first order
+makes a bound on the optimum.
 """
 
 from __future__ import annotations
@@ -109,53 +118,6 @@ def upper_bound_from(reduced: ReducedQp, x_start, tol: float = 1e-4):
     return y, float(reduced.value(y))
 
 
-def _assemble_full(n: int, order, label, free, y_free) -> np.ndarray:
-    x = np.empty(n)
-    if len(label):
-        x[np.asarray(order[: len(label)], dtype=int)] = np.asarray(label, dtype=float)
-    x[free] = y_free
-    return x
-
-
-def _eval_node(qp, shift, order, parent, label, parent_bound, x_start, config, cutoff):
-    """Bound one node; x_start (projected here) starts its relaxation solve.
-
-    The root (empty label) is qp in branching order; any other node is its
-    parent's subproblem with the last vertex of its label fixed.  A node
-    whose bound is above cutoff is pruned as soon as its relaxation shows
-    it, and gets no candidate: the candidate would cost at least the bound.
-    """
-    try:
-        red = reduce(parent, label[-1:]) if label else reduce(qp, (), order)
-    except InfeasibleSubproblemError:
-        return {"kind": "infeasible"}
-    if red.n:
-        rel = build_relaxation(red, shift)
-        x0 = project(x_start, red.fset)
-        report, cert = solve_convex(
-            rel, x0, tol=config.tol, max_iter=SOLVER_MAX_ITER, cutoff=cutoff
-        )
-        bound = max(cert, parent_bound)
-        converged = report.converged or report.cutoff_stop
-        if bound > cutoff:
-            return {"kind": "pruned", "bound": bound, "converged": converged}
-        y_free, _ = upper_bound_from(red, report.x, config.tol)
-    else:
-        y_free = np.zeros(0)  # a leaf: every vertex is fixed
-    full = _assemble_full(qp.n, order, label, red.free, y_free)
-    value = qp.value(full)
-    if not red.n:
-        return {"kind": "leaf", "bound": value, "cand": (full, value)}
-    return {
-        "kind": "open",
-        "bound": bound,
-        "red": red,
-        "relax_x": report.x,
-        "converged": converged,
-        "cand": (full, value),
-    }
-
-
 def _check_config(config: BnbConfig) -> None:
     if config.bound not in ("sdp", "eig"):
         raise ValueError(f"unknown bound variant {config.bound!r}")
@@ -170,7 +132,6 @@ def _check_config(config: BnbConfig) -> None:
 def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = None) -> Solution:
     """Exact minimum cut with side sizes in [l, u]."""
     config = config or BnbConfig()
-    spec.validate_for(graph.n)
     _check_config(config)
     t_start = time.perf_counter()
 
@@ -178,42 +139,51 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
     order = order_vertices(graph)
     integral = graph.is_integral
     shift = sdp_shift(qp.M) if config.bound == "sdp" else sigma_shift(qp.M)
+    root = reduce(qp, (), order)  # a validated spec leaves the root feasible
 
     node_count = 0
     node_bounds = []
     incumbent_trace = []
     bound_trace = []
-    best_y, best_val = None, math.inf
+    best, best_val = None, math.inf  # best: (label, free vertices, their bits)
     all_converged = True
     # heap entries: (bound, -depth, seq, label, red, relax_x); seq breaks ties FIFO
     heap = []
     seq = 0
     status = "optimal"
-    # (parent subproblem, label, parent bound, start point); the root starts at the center
-    batch = [(qp, (), -math.inf, np.full(qp.n, 0.5))]
+    # (label, parent subproblem, parent bound, start point); the root has no
+    # parent and starts at the center
+    batch = [((), None, -math.inf, np.full(qp.n, 0.5))]
 
     while True:
-        for parent, label, parent_bound, x_start in batch:
-            cutoff = prune_threshold(best_val, integral)
-            res = _eval_node(qp, shift, order, parent, label, parent_bound, x_start, config, cutoff)
+        for label, parent, parent_bound, x_start in batch:
             node_count += 1
-            if res["kind"] == "infeasible":
+            try:
+                red = root if parent is None else reduce(parent, label[-1:])
+            except InfeasibleSubproblemError:
                 continue
-            node_bounds.append((label, res["bound"]))
-            if not res.get("converged", True):
-                all_converged = False
-            if res["kind"] == "pruned":
-                continue
-            full, val = res["cand"]
+            if not red.n:  # a leaf: every vertex is fixed
+                y, val = np.zeros(0), red.const
+                node_bounds.append((label, val))
+            else:
+                cutoff = prune_threshold(best_val, integral)
+                x0 = project(x_start, red.fset)
+                report, cert = solve_convex(
+                    build_relaxation(red, shift), x0,
+                    tol=config.tol, max_iter=SOLVER_MAX_ITER, cutoff=cutoff,
+                )
+                bound = max(cert, parent_bound)
+                node_bounds.append((label, bound))
+                all_converged = all_converged and (report.converged or report.cutoff_stop)
+                if bound > cutoff:
+                    continue  # its candidate would cost at least the bound
+                y, val = upper_bound_from(red, report.x, config.tol)
             if val < best_val:
-                best_y, best_val = full, val
+                best, best_val = (label, red.free, y), val
                 incumbent_trace.append((node_count, val))
-            if res["kind"] == "leaf":
-                continue
-            if res["bound"] > prune_threshold(best_val, integral):
-                continue
-            heapq.heappush(heap, (res["bound"], -len(label), seq, label, res["red"], res["relax_x"]))
-            seq += 1
+            if red.n and bound <= prune_threshold(best_val, integral):
+                heapq.heappush(heap, (bound, -len(label), seq, label, red, report.x))
+                seq += 1
 
         if not heap:
             break
@@ -228,11 +198,15 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
         if bound > prune_threshold(best_val, integral):
             break  # best-first: every other open leaf is at least as bad
         # a child's free vertices are its parent's minus the first one
-        batch = [(red, label + (bit,), bound, relax_x[1:]) for bit in (0, 1)]
+        batch = [(label + (bit,), red, bound, relax_x[1:]) for bit in (0, 1)]
 
     # best-first: no open subtree holds anything below the smallest open bound
     lower_bound = best_val if status == "optimal" else min(heap[0][0], best_val)
-    v0, v1 = partition_from_binary(best_y)
+    label, free, y = best
+    best_x = np.empty(qp.n)
+    best_x[order[: len(label)]] = label
+    best_x[free] = y
+    v0, v1 = partition_from_binary(best_x)
     return Solution(
         v0=v0,
         v1=v1,
@@ -243,9 +217,9 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
         node_bounds=node_bounds,
         incumbent_trace=incumbent_trace,
         wall_time=time.perf_counter() - t_start,
-        root_bound=node_bounds[0][1],  # a validated spec leaves the root feasible
+        root_bound=node_bounds[0][1],
         lower_bound=float(lower_bound),
-        best_x=best_y,
+        best_x=best_x,
         all_relaxations_converged=all_converged,
         shift=shift,
     )

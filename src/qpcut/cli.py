@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
 import numpy as np
 
-from .bnb import BnbConfig, order_vertices, solve
-from .bounds import build_relaxation, sdp_shift, sigma_shift
+from .bnb import BnbConfig, solve
 from .graph import (
     GraphFormatError,
     PartitionSpec,
@@ -31,8 +29,7 @@ from .graph import (
 )
 from .optimality import check_strict, descent_direction
 from .oracle import brute_force
-from .projgrad import solve_convex
-from .qp import make_qp, reduce
+from .qp import make_qp
 
 GEN_KINDS = "toroidal:HxK planar:HxK mixed:HxK random:NxDENSITY debruijn:ORDER"
 
@@ -126,21 +123,14 @@ def cmd_solve(args) -> int:
     return 0 if sol.status == "optimal" else 2
 
 
-def _root_bound(graph, spec, variant, tol):
-    qp = make_qp(graph, spec)
-    shift = sdp_shift(qp.M) if variant == "sdp" else sigma_shift(qp.M)
-    rel = build_relaxation(reduce(qp, (), order_vertices(graph)), shift)
-    _, bound = solve_convex(rel, tol=tol)
-    return bound
-
-
 def cmd_bound(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {args.tol}")
     graph = build_instance(args)
     spec = resolve_spec(args, graph.n)
-    lb1 = _root_bound(graph, spec, "eig", args.tol)
-    lb2 = _root_bound(graph, spec, "sdp", args.tol)
+    # the root node of the search: its certified bound, and its candidate too
+    lb1, lb2 = (
+        solve(graph, spec, BnbConfig(bound=kind, tol=args.tol, max_nodes=1)).root_bound
+        for kind in ("eig", "sdp")
+    )
     report = {
         "command": "bound",
         "n": graph.n,

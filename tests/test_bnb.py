@@ -242,6 +242,13 @@ def test_bound_first_search_is_exact_and_sound(bound, case):
     opt, _ = qc.brute_force(g, spec)
     sol = qc.solve(g, spec, BnbConfig(bound=bound))
     assert sol.status == "optimal"
+    # candidates are valued on their subproblem, which holds the fixed part exactly
+    cut = qc.cut_weight(g, sol.best_x)
+    if g.is_integral:
+        assert sol.value == cut
+    else:
+        assert abs(sol.value - cut) <= EPS
+    assert sol.v1 == np.flatnonzero(sol.best_x).tolist()
     if g.is_integral:
         assert sol.value == opt
     else:

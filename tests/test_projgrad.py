@@ -135,6 +135,15 @@ def exact_residual(grad, x, fs):
     return float(np.linalg.norm(qc.project(x - grad(x), fs) - x))
 
 
+def seeded_qp(seed):
+    """A random_graph with n = 6..13 and a random window, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 14))
+    g = random_graph(n, float(rng.uniform(0.3, 1.0)), seed)
+    lo = int(rng.integers(0, n // 2 + 1))
+    return qc.make_qp(g, qc.PartitionSpec(lo, int(rng.integers(lo, n + 1))))
+
+
 def _carried_gradient_cases():
     for seed in range(8):
         yield pytest.param(seed, None, id=str(seed))
@@ -147,13 +156,8 @@ def _carried_gradient_cases():
 def test_carried_gradient_cannot_fake_convergence(seed, case):
     # the loop updates g <- g + t Hd instead of re-evaluating the gradient; a
     # converged report must still be stationary to tol at the exact gradient
-    rng = np.random.default_rng(seed)
     if case is None:
-        n = int(rng.integers(6, 14))
-        g = random_graph(n, float(rng.uniform(0.3, 1.0)), seed)
-        lo = int(rng.integers(0, n // 2 + 1))
-        qp = qc.make_qp(g, qc.PartitionSpec(lo, int(rng.integers(lo, n + 1))))
-        order = None
+        qp, order = seeded_qp(seed), None
     else:
         n, density, lo, hi = case
         g = random_graph(n, density, seed)
@@ -175,6 +179,36 @@ def test_carried_gradient_cannot_fake_convergence(seed, case):
                     assert exact_residual(red.grad, out.x, fs) <= tol
                     checked += 1
     assert checked >= 18
+
+
+@pytest.mark.parametrize("tol, max_capped", [(1e-4, 0), (1e-8, 1), (1e-12, 3)])
+def test_relaxations_below_the_default_tol_stop_at_a_rounding_floor(tol, max_capped):
+    # On the 48 relaxations of seeds 0-7 (both shifts, labels (), (1,), (0, 1))
+    # every solve converges at the default tol.  Below it, an unconverged solve
+    # almost never runs to the cap: at 1e-8, 23 of 24 stop after 12-280
+    # iterations (at 1e-12, 29 of 32 after 12-581) because the projected step
+    # is no longer a descent direction in floating point (g.d >= 0, so the
+    # exact segment search returns t = 0).  Their exact residuals are at most
+    # 6.5e-7, and a fresh start from the stop point lowers f by at most 5.4e-15
+    # relative: a rounding floor, not cycling or slow convergence.
+    capped = 0
+    for seed in range(8):
+        qp = seeded_qp(seed)
+        for shift in (qc.sdp_shift(qp.M), qc.sigma_shift(qp.M)):
+            for label in ((), (1,), (0, 1)):
+                rel = qc.build_relaxation(qc.reduce(qp, label), shift)
+                report, _ = qc.solve_convex(rel, tol=tol, max_iter=10**4)
+                if report.converged:
+                    continue
+                assert tol < 1e-4, (seed, label)
+                if report.iterations == 10**4:
+                    capped += 1
+                    continue
+                assert report.iterations <= 600
+                assert exact_residual(rel.grad, report.x, rel.fset) < 1e-6
+                again, _ = qc.solve_convex(rel, x0=report.x, tol=tol, max_iter=10**4)
+                assert report.value - again.value <= 1e-14 * max(1.0, abs(report.value))
+    assert capped <= max_capped
 
 
 @st.composite
