@@ -23,6 +23,7 @@ that value is the cut weight exactly.  A leaf (every vertex fixed) is worth
 its const, which is also its bound.  The full-length incumbent is assembled
 once, at exit.
 
+Relaxations and descents stop by the defaults of qpcut.projgrad.
 all_relaxations_converged is true when every relaxation met the residual
 rule or stopped at a bound above its cutoff, and false when one hit its
 iteration cap or stalled first.  At exit, lower_bound is the value when
@@ -58,14 +59,11 @@ __all__ = [
 
 
 EPS = 1e-6  # prune slack, see prune_threshold
-SOLVER_MAX_ITER = 10000  # gradient-projection iterations per relaxation solve
-DESCENT_MAX_ITER = 2000  # nonconvex descent iterations per upper bound
 
 
 @dataclass
 class BnbConfig:
     bound: str = "sdp"  # 'sdp' or 'eig'
-    tol: float = 1e-4
     max_nodes: int | None = None
     time_limit: float | None = None
 
@@ -98,22 +96,22 @@ def order_vertices(graph: WeightedGraph) -> np.ndarray:
     return np.lexsort((np.arange(graph.n), -w))
 
 
-def prune_threshold(upper: float, integral: bool, eps: float = EPS) -> float:
+def prune_threshold(upper: float, integral: bool) -> float:
     """Discard a subtree when its bound exceeds this value.
 
-    Integral weights allow the stronger cutoff upper - 1 + eps, because any
+    Integral weights allow the stronger cutoff upper - 1 + EPS, because any
     strictly better binary value is at most upper - 1.
     """
-    return upper - 1.0 + eps if integral else upper - eps
+    return upper - 1.0 + EPS if integral else upper - EPS
 
 
-def upper_bound_from(reduced: ReducedQp, x_start, tol: float = 1e-4):
+def upper_bound_from(reduced: ReducedQp, x_start):
     """Binary feasible point for a subproblem, built from the solver's pieces.
 
     Descend the nonconvex objective from x_start, then round constructively.
     Returns (y, value); the value never exceeds the objective at x_start.
     """
-    report = descend_nonconvex(reduced, x_start, tol=tol, max_iter=DESCENT_MAX_ITER)
+    report = descend_nonconvex(reduced, x_start)
     y = round_to_binary(reduced, report.x)
     return y, float(reduced.value(y))
 
@@ -121,8 +119,6 @@ def upper_bound_from(reduced: ReducedQp, x_start, tol: float = 1e-4):
 def _check_config(config: BnbConfig) -> None:
     if config.bound not in ("sdp", "eig"):
         raise ValueError(f"unknown bound variant {config.bound!r}")
-    if not (math.isfinite(config.tol) and config.tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {config.tol}")
     if config.max_nodes is not None and not config.max_nodes >= 1:
         raise ValueError(f"max_nodes must be at least 1, got {config.max_nodes}")
     if config.time_limit is not None and not config.time_limit >= 0.0:
@@ -168,16 +164,13 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
             else:
                 cutoff = prune_threshold(best_val, integral)
                 x0 = project(x_start, red.fset)
-                report, cert = solve_convex(
-                    build_relaxation(red, shift), x0,
-                    tol=config.tol, max_iter=SOLVER_MAX_ITER, cutoff=cutoff,
-                )
+                report, cert = solve_convex(build_relaxation(red, shift), x0, cutoff=cutoff)
                 bound = max(cert, parent_bound)
                 node_bounds.append((label, bound))
                 all_converged = all_converged and (report.converged or report.cutoff_stop)
                 if bound > cutoff:
                     continue  # its candidate would cost at least the bound
-                y, val = upper_bound_from(red, report.x, config.tol)
+                y, val = upper_bound_from(red, report.x)
             if val < best_val:
                 best, best_val = (label, red.free, y), val
                 incumbent_trace.append((node_count, val))

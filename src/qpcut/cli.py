@@ -1,8 +1,9 @@
 """Command-line front end: solve, bound, generate, check, oracle.
 
 Every subcommand prints one JSON object to stdout (and optionally writes it
-to a file with --json).  Exit code 0 on success, 2 when a solve stops at a
-resource limit, 1 on input errors.
+first to a file with --json).  Exit code 0 on success, 2 when a solve stops
+at a resource limit, 1 on input errors, bad flags included, which print
+`error: ...` to stderr and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -69,33 +70,27 @@ def resolve_spec(args, n: int) -> PartitionSpec:
 
 def emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2)
-    print(text)
     if getattr(args, "json", None):
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
-def _input_arguments(p: argparse.ArgumentParser, need_budget: bool = True) -> None:
+def _input_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="graph file path")
     p.add_argument("--format", choices=("el", "mtx"), help="input format (default: by extension)")
     p.add_argument("--gen", help=f"generate an instance, one of: {GEN_KINDS}")
     p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    if need_budget:
-        p.add_argument("--l", type=int, help="lower side-size bound")
-        p.add_argument("--u", type=int, help="upper side-size bound")
-        p.add_argument("--bisection", action="store_true",
-                       help="use l = floor(n/2), u = ceil(n/2)")
+    p.add_argument("--l", type=int, help="lower side-size bound")
+    p.add_argument("--u", type=int, help="upper side-size bound")
+    p.add_argument("--bisection", action="store_true",
+                   help="use l = floor(n/2), u = ceil(n/2)")
 
 
 def cmd_solve(args) -> int:
     graph = build_instance(args)
     spec = resolve_spec(args, graph.n)
-    config = BnbConfig(
-        bound=args.bound,
-        tol=args.tol,
-        max_nodes=args.max_nodes,
-        time_limit=args.time_limit,
-    )
+    config = BnbConfig(bound=args.bound, max_nodes=args.max_nodes, time_limit=args.time_limit)
     sol = solve(graph, spec, config)
     emit(
         {
@@ -128,7 +123,7 @@ def cmd_bound(args) -> int:
     spec = resolve_spec(args, graph.n)
     # the root node of the search: its certified bound, and its candidate too
     lb1, lb2 = (
-        solve(graph, spec, BnbConfig(bound=kind, tol=args.tol, max_nodes=1)).root_bound
+        solve(graph, spec, BnbConfig(bound=kind, max_nodes=1)).root_bound
         for kind in ("eig", "sdp")
     )
     report = {
@@ -219,8 +214,15 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad flags raise ValueError, so main reports them as input errors."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpcut",
         description="Exact edge-weighted graph bisection (min-cut with side-size bounds).",
     )
@@ -230,8 +232,6 @@ def make_parser() -> argparse.ArgumentParser:
     _input_arguments(p)
     p.add_argument("--bound", choices=("sdp", "eig"), default="sdp",
                    help="lower-bound variant (default sdp)")
-    p.add_argument("--tol", type=float, default=1e-4,
-                   help="relaxation stationarity tolerance (default 1e-4)")
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None, help="seconds")
     p.add_argument("--json", help="also write the JSON report to this path")
@@ -239,7 +239,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="compare the two root lower bounds")
     _input_arguments(p)
-    p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--oracle", action="store_true",
                    help="also report the exhaustive optimum (n <= 24)")
     p.add_argument("--json")
@@ -266,9 +265,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.fn(args)
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

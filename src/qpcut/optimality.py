@@ -42,7 +42,7 @@ def _scale_tol(problem) -> float:
     return 1e-6 * max(1.0, norm)
 
 
-def _budget_state(problem, x, tol):
+def _budget_state(problem, x):
     s = float(np.sum(x))
     btol = 1e-7 * max(1.0, problem.n)
     return s, abs(s - problem.lo) <= btol, abs(s - problem.hi) <= btol
@@ -70,7 +70,7 @@ class KktAssessment:
     strict: bool | None = None
 
 
-def multipliers(problem, x, tol=None):
+def multipliers(problem, x):
     """Fit the budget multiplier lam and return (lam, mu = grad + lam).
 
     With the budget strictly inside the window, complementary slackness
@@ -83,10 +83,8 @@ def multipliers(problem, x, tol=None):
     x = np.asarray(x, dtype=float)
     if not problem.fset.contains(x, tol=1e-7):
         raise ValueError("point is infeasible")
-    if tol is None:
-        tol = _scale_tol(problem)
     g = problem.grad(x)
-    _, at_lo, at_hi = _budget_state(problem, x, tol)
+    _, at_lo, at_hi = _budget_state(problem, x)
     frac = (x > X_TOL) & (x < 1.0 - X_TOL)
 
     if not (at_lo or at_hi):
@@ -117,15 +115,14 @@ def multipliers(problem, x, tol=None):
     return lam, g + lam
 
 
-def check_first_order(problem, x, lam, mu, tol=None) -> bool:
+def check_first_order(problem, x, lam, mu) -> bool:
     """KKT test: sign of mu pins the coordinate, sign of lam pins the budget."""
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    if tol is None:
-        tol = _scale_tol(problem)
+    tol = _scale_tol(problem)
     if not problem.fset.contains(x, tol=1e-7):
         return False
-    _, at_lo, at_hi = _budget_state(problem, x, tol)
+    _, at_lo, at_hi = _budget_state(problem, x)
     if np.any((mu > tol) & (x > X_TOL)):
         return False
     if np.any((mu < -tol) & (x < 1.0 - X_TOL)):
@@ -137,16 +134,15 @@ def check_first_order(problem, x, lam, mu, tol=None) -> bool:
     return True
 
 
-def check_local_min(problem, x, tol=None) -> KktAssessment:
+def check_local_min(problem, x) -> KktAssessment:
     """Classify a feasible point via p1-p4; stores the first violation found."""
     x = np.asarray(x, dtype=float)
-    if tol is None:
-        tol = _scale_tol(problem)
-    lam, mu = multipliers(problem, x, tol)
+    tol = _scale_tol(problem)
+    lam, mu = multipliers(problem, x)
     g = problem.grad(x)
     q = problem.M
     d = np.diag(q)
-    _, at_lo, at_hi = _budget_state(problem, x, tol)
+    _, at_lo, at_hi = _budget_state(problem, x)
 
     at_zero = np.flatnonzero(x <= X_TOL)
     at_one = np.flatnonzero(x >= 1.0 - X_TOL)
@@ -155,7 +151,7 @@ def check_local_min(problem, x, tol=None) -> KktAssessment:
     at_one_mu0 = at_one[np.abs(mu[at_one]) <= tol]
     grad_zero = np.flatnonzero(np.abs(g) <= tol)
 
-    p1 = check_first_order(problem, x, lam, mu, tol)
+    p1 = check_first_order(problem, x, lam, mu)
     witness = None
 
     def worst_pair(rows, cols):
@@ -225,14 +221,13 @@ def check_local_min(problem, x, tol=None) -> KktAssessment:
     )
 
 
-def check_strict(problem, x, tol=None) -> KktAssessment:
+def check_strict(problem, x) -> KktAssessment:
     """Fill the strictness flags c1-c3 on top of the local classification."""
     x = np.asarray(x, dtype=float)
-    if tol is None:
-        tol = _scale_tol(problem)
-    a = check_local_min(problem, x, tol)
+    tol = _scale_tol(problem)
+    a = check_local_min(problem, x)
     g = problem.grad(x)
-    _, at_lo, at_hi = _budget_state(problem, x, tol)
+    _, at_lo, at_hi = _budget_state(problem, x)
 
     a.c1 = a.frac.size == 0
     min_zero = float(np.min(g[a.at_zero])) if a.at_zero.size else np.inf
@@ -241,7 +236,7 @@ def check_strict(problem, x, tol=None) -> KktAssessment:
 
     a.c3 = True
     if problem.lo < problem.hi and a.grad_zero.size:
-        kkt_at_zero_lam = check_first_order(problem, x, 0.0, g, tol)
+        kkt_at_zero_lam = check_first_order(problem, x, 0.0, g)
         if kkt_at_zero_lam:
             pinned_hi = at_hi and np.all(x[a.grad_zero] <= X_TOL)
             pinned_lo = at_lo and np.all(x[a.grad_zero] >= 1.0 - X_TOL)
@@ -264,7 +259,7 @@ def descent_direction(problem, x, assessment: KktAssessment):
         return None
     x = np.asarray(x, dtype=float)
     n = problem.n
-    s, at_lo, at_hi = _budget_state(problem, x, 0.0)
+    s, at_lo, at_hi = _budget_state(problem, x)
     kind = assessment.witness[0]
 
     if kind in ("p2", "p3"):

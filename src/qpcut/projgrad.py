@@ -7,7 +7,8 @@ x_{k+1} = x_k + t* (P(x_k - alpha_k g_k) - x_k), where alpha_k is a
 safeguarded Barzilai-Borwein steplength and t* minimizes the quadratic
 exactly on the segment (best endpoint when the segment quadratic is
 concave).  The stopping rule is the unit-step projected-gradient residual
-||P(x - g) - x|| <= tol.  A relaxation solve given a cutoff also stops as
+||P(x - g) - x|| <= tol, or the iteration cap; the defaults below are the
+ones branch and bound uses.  A relaxation solve given a cutoff also stops as
 soon as its certified lower bound, checked at iterations 0, 1, 2, 4, 8, ...,
 is above the cutoff: branch and bound then prunes the node, and more
 iterations could not change that.
@@ -27,6 +28,9 @@ __all__ = ["SolveReport", "project", "solve_convex", "descend_nonconvex"]
 
 ALPHA_MIN = 1e-8
 ALPHA_MAX = 1e8
+RESIDUAL_TOL = 1e-4  # projected-gradient residual at which a solve has converged
+SOLVE_MAX_ITER = 10000  # iterations per relaxation solve
+DESCENT_MAX_ITER = 2000  # iterations per nonconvex descent
 
 
 @dataclass
@@ -200,8 +204,8 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     return report, bound
 
 
-def solve_convex(rel: ReducedQp, x0=None, tol: float = 1e-4, max_iter: int = 10000,
-                 cutoff: float | None = None):
+def solve_convex(rel: ReducedQp, x0=None, tol: float = RESIDUAL_TOL,
+                 max_iter: int = SOLVE_MAX_ITER, cutoff: float | None = None):
     """Minimize the convex relaxation; returns (report, certified lower bound).
 
     The objective is monotone nonincreasing across accepted steps, and the
@@ -219,7 +223,8 @@ def solve_convex(rel: ReducedQp, x0=None, tol: float = 1e-4, max_iter: int = 100
     return report, bound
 
 
-def descend_nonconvex(problem, x0, tol: float = 1e-4, max_iter: int = 2000) -> SolveReport:
+def descend_nonconvex(problem, x0, tol: float = RESIDUAL_TOL,
+                      max_iter: int = DESCENT_MAX_ITER) -> SolveReport:
     """Run the same iteration on the nonconvex objective itself.
 
     The segment quadratic can be concave here; the exact linesearch then

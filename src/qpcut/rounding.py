@@ -25,21 +25,21 @@ __all__ = ["round_to_binary", "partition_from_binary"]
 SNAP_TOL = 1e-9
 
 
-def _snap(x, tol):
-    near0 = np.abs(x) <= tol
-    near1 = np.abs(x - 1.0) <= tol
+def _snap(x):
+    near0 = np.abs(x) <= SNAP_TOL
+    near1 = np.abs(x - 1.0) <= SNAP_TOL
     x[near0] = 0.0
     x[near1] = 1.0
     return x
 
 
-def round_to_binary(problem, x, tol: float = SNAP_TOL) -> np.ndarray:
+def round_to_binary(problem, x) -> np.ndarray:
     """Binary feasible y with f(y) <= f(x); binary entries of x are kept."""
     fset = problem.fset
     x = np.asarray(x, dtype=float).copy()
     if not fset.contains(x, tol=1e-7):
         raise ValueError("input point is infeasible")
-    x = _snap(np.clip(x, 0.0, 1.0), tol)
+    x = _snap(np.clip(x, 0.0, 1.0))
     fval = problem.value(x)
     guard = 4 * problem.n + 8
 
@@ -72,7 +72,7 @@ def round_to_binary(problem, x, tol: float = SNAP_TOL) -> np.ndarray:
                 alpha = -min(x[i], 1.0 - x[j])
             x[i] += alpha
             x[j] -= alpha
-        x = _snap(x, tol)
+        x = _snap(x)
         fnew = problem.value(x)
         if fnew > fval + 1e-9 * (1.0 + abs(fval)):
             raise RuntimeError("rounding move increased the objective")

@@ -30,8 +30,8 @@ def test_order_vertices():
 
 
 def test_prune_threshold():
-    assert qc.prune_threshold(28.0, True, 1e-6) == pytest.approx(27.0 + 1e-6)
-    assert qc.prune_threshold(3.5, False, 1e-6) == pytest.approx(3.5 - 1e-6)
+    assert qc.prune_threshold(28.0, True) == pytest.approx(27.0 + 1e-6)
+    assert qc.prune_threshold(3.5, False) == pytest.approx(3.5 - 1e-6)
 
 
 def test_root_bound_does_not_depend_on_vertex_labels():
