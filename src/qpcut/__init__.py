@@ -8,100 +8,21 @@ certified diagonal shifts and best affine underestimates; the search is a
 best-first branch and bound with constructive rounding for upper bounds.
 """
 
-from .bnb import (
-    BnbConfig,
-    Solution,
-    order_vertices,
-    prune_threshold,
-    solve,
-    upper_bound_from,
-)
-from .bounds import (
-    DcShift,
-    affine_underestimate,
-    build_relaxation,
-    certified_lower_bound,
-    greedy_linear_min,
-    sdp_shift,
-    sigma_shift,
-)
-from .graph import (
-    GraphFormatError,
-    PartitionSpec,
-    WeightedGraph,
-    build_diagonal_shift,
-    cut_weight,
-    gen_debruijn,
-    gen_mixed,
-    gen_planar,
-    gen_random,
-    gen_toroidal,
-    load_graph,
-    save_edge_list,
-)
-from .optimality import (
-    KktAssessment,
-    check_first_order,
-    check_local_min,
-    check_strict,
-    descent_direction,
-    multipliers,
-)
-from .oracle import brute_force
-from .projgrad import SolveReport, descend_nonconvex, project, solve_convex
-from .qp import (
-    FeasibleSet,
-    InfeasibleSubproblemError,
-    ReducedQp,
-    make_qp,
-    reduce,
-)
-from .rounding import partition_from_binary, round_to_binary
+from . import bnb, bounds, graph, optimality, oracle, projgrad, qp, rounding
+from .bnb import *  # noqa: F401,F403
+from .bounds import *  # noqa: F401,F403
+from .graph import *  # noqa: F401,F403
+from .optimality import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .projgrad import *  # noqa: F401,F403
+from .qp import *  # noqa: F401,F403
+from .rounding import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# each submodule's __all__ is the one list of its public names
 __all__ = [
-    "BnbConfig",
-    "DcShift",
-    "FeasibleSet",
-    "GraphFormatError",
-    "InfeasibleSubproblemError",
-    "KktAssessment",
-    "PartitionSpec",
-    "ReducedQp",
-    "Solution",
-    "SolveReport",
-    "WeightedGraph",
-    "affine_underestimate",
-    "brute_force",
-    "build_diagonal_shift",
-    "build_relaxation",
-    "certified_lower_bound",
-    "check_first_order",
-    "check_local_min",
-    "check_strict",
-    "cut_weight",
-    "descend_nonconvex",
-    "descent_direction",
-    "gen_debruijn",
-    "gen_mixed",
-    "gen_planar",
-    "gen_random",
-    "gen_toroidal",
-    "greedy_linear_min",
-    "load_graph",
-    "make_qp",
-    "multipliers",
-    "order_vertices",
-    "partition_from_binary",
-    "project",
-    "prune_threshold",
-    "reduce",
-    "round_to_binary",
-    "save_edge_list",
-    "sdp_shift",
-    "sigma_shift",
-    "solve",
-    "solve_convex",
-    "upper_bound_from",
+    name
+    for module in (bnb, bounds, graph, optimality, oracle, projgrad, qp, rounding)
+    for name in module.__all__
 ]

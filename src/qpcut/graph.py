@@ -6,6 +6,9 @@ weights may be negative (max-cut style instances are allowed).
 
 All random generators use ``numpy.random.default_rng(seed)`` (PCG64), so a
 given (kind, parameters, seed) triple is bit-reproducible across platforms.
+The three grid generators walk the grid through one helper, ``_grid_pairs``,
+and every edge list, read or generated, becomes a matrix through one
+``_matrix_from_edges``.  scipy is imported only to read Matrix Market files.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 __all__ = [
     "GraphFormatError",
@@ -102,25 +103,16 @@ class PartitionSpec:
             raise ValueError(f"u={self.u} exceeds the vertex count {n}")
 
 
-def _matrix_from_edges(n, edges, combine="error"):
+def _matrix_from_edges(n, edges):
     """Dense symmetric matrix from (i, j, w) triples (0-based, i != j).
 
-    combine='error' rejects duplicate pairs (file input); combine='sum' adds
-    parallel edges (degenerate grid generators).
+    Parallel edges add up; only the toroidal generator with h or k equal to
+    2 makes any, and the edge-list reader rejects them before they get here.
     """
     w = np.zeros((n, n))
-    seen = set()
     for i, j, val in edges:
-        key = (min(i, j), max(i, j))
-        if combine == "error":
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge ({i + 1}, {j + 1})")
-            seen.add(key)
-            w[i, j] = val
-            w[j, i] = val
-        else:
-            w[i, j] += val
-            w[j, i] += val
+        w[i, j] += val
+        w[j, i] += val
     return w
 
 
@@ -178,6 +170,7 @@ def _load_edge_list(path) -> WeightedGraph:
         raise GraphFormatError(f"{path}: header says {m} edges, found {len(rows) - 1}")
 
     edges = []
+    seen = set()
     for lineno, fields in rows[1:]:
         if len(fields) != 3:
             raise GraphFormatError(f"{path}:{lineno}: expected 'i j w'")
@@ -191,16 +184,22 @@ def _load_edge_list(path) -> WeightedGraph:
             if w != 0.0:
                 raise GraphFormatError(f"{path}:{lineno}: self loop with nonzero weight")
             continue
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            raise GraphFormatError(f"{path}:{lineno}: duplicate edge ({i}, {j})")
+        seen.add(pair)
         edges.append((i - 1, j - 1, w))
-    return WeightedGraph(_matrix_from_edges(n, edges, combine="error"))
+    return WeightedGraph(_matrix_from_edges(n, edges))
 
 
 def _load_matrix_exchange(path) -> WeightedGraph:
+    import scipy.io  # only .mtx input needs scipy, so `import qpcut` does not load it
+
     try:
         s = scipy.io.mmread(path)
     except Exception as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
-    if scipy.sparse.issparse(s):
+    if hasattr(s, "toarray"):  # a scipy sparse matrix
         s = s.toarray()
     s = np.asarray(s, dtype=float)
     if s.ndim != 2:
@@ -260,6 +259,21 @@ def cut_weight(graph: WeightedGraph, side) -> float:
 # ----------------------------------------------------------------------------
 
 
+def _grid_pairs(h, k, wrap):
+    """Each vertex's right, then down, neighbour on an h x k grid, in row-major order.
+
+    With wrap the last column and row link back to the first (a torus);
+    without, a vertex on the far edge has no neighbour there.
+    """
+    for r in range(h):
+        for c in range(k):
+            u = r * k + c
+            if wrap or c + 1 < k:
+                yield u, r * k + (c + 1) % k
+            if wrap or r + 1 < h:
+                yield u, ((r + 1) % h) * k + c
+
+
 def gen_toroidal(h: int, k: int, seed: int) -> WeightedGraph:
     """h x k toroidal grid with integer weights uniform in [1, 10].
 
@@ -270,13 +284,8 @@ def gen_toroidal(h: int, k: int, seed: int) -> WeightedGraph:
     if h < 2 or k < 2:
         raise ValueError("toroidal grid needs h >= 2 and k >= 2")
     rng = np.random.default_rng(seed)
-    edges = []
-    for r in range(h):
-        for c in range(k):
-            u = r * k + c
-            for v in (r * k + (c + 1) % k, ((r + 1) % h) * k + c):
-                edges.append((u, v, int(rng.integers(1, 11))))
-    return WeightedGraph(_matrix_from_edges(h * k, edges, combine="sum"))
+    edges = [(u, v, int(rng.integers(1, 11))) for u, v in _grid_pairs(h, k, wrap=True)]
+    return WeightedGraph(_matrix_from_edges(h * k, edges))
 
 
 def gen_planar(h: int, k: int, seed: int) -> WeightedGraph:
@@ -284,15 +293,8 @@ def gen_planar(h: int, k: int, seed: int) -> WeightedGraph:
     if h < 1 or k < 1 or h * k < 2:
         raise ValueError("planar grid needs at least two vertices")
     rng = np.random.default_rng(seed)
-    edges = []
-    for r in range(h):
-        for c in range(k):
-            u = r * k + c
-            if c + 1 < k:
-                edges.append((u, u + 1, int(rng.integers(1, 11))))
-            if r + 1 < h:
-                edges.append((u, u + k, int(rng.integers(1, 11))))
-    return WeightedGraph(_matrix_from_edges(h * k, edges, combine="error"))
+    edges = [(u, v, int(rng.integers(1, 11))) for u, v in _grid_pairs(h, k, wrap=False)]
+    return WeightedGraph(_matrix_from_edges(h * k, edges))
 
 
 def gen_mixed(h: int, k: int, seed: int) -> WeightedGraph:
@@ -306,22 +308,15 @@ def gen_mixed(h: int, k: int, seed: int) -> WeightedGraph:
         raise ValueError("mixed grid needs at least two vertices")
     n = h * k
     rng = np.random.default_rng(seed)
-    edges = []
-    grid_pairs = set()
-    for r in range(h):
-        for c in range(k):
-            u = r * k + c
-            if c + 1 < k:
-                grid_pairs.add((u, u + 1))
-                edges.append((u, u + 1, int(rng.integers(1, 101))))
-            if r + 1 < h:
-                grid_pairs.add((u, u + k))
-                edges.append((u, u + k, int(rng.integers(1, 101))))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in grid_pairs:
-                edges.append((i, j, int(rng.integers(1, 11))))
-    return WeightedGraph(_matrix_from_edges(n, edges, combine="error"))
+    edges = [(u, v, int(rng.integers(1, 101))) for u, v in _grid_pairs(h, k, wrap=False)]
+    grid = {(u, v) for u, v, _ in edges}
+    edges += [
+        (i, j, int(rng.integers(1, 11)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (i, j) not in grid
+    ]
+    return WeightedGraph(_matrix_from_edges(n, edges))
 
 
 def gen_random(n: int, density: float, seed: int) -> WeightedGraph:
@@ -338,7 +333,7 @@ def gen_random(n: int, density: float, seed: int) -> WeightedGraph:
         for j in range(i + 1, n):
             if rng.random() < density:
                 edges.append((i, j, int(rng.integers(1, 11))))
-    return WeightedGraph(_matrix_from_edges(n, edges, combine="error"))
+    return WeightedGraph(_matrix_from_edges(n, edges))
 
 
 def gen_debruijn(order: int) -> WeightedGraph:

@@ -188,13 +188,21 @@ def test_solve_rejects_bad_limits(capsys, flags):
         ["bound", "--gen", "random:8x0.5", "--bisection", "--tol", "0"],  # no such flag
         # the report file cannot be written: nothing may reach stdout either
         ["oracle", "--gen", "random:6x0.5", "--bisection", "--json", "{tmp}/missing/x.json"],
+        # too large to allocate: each dense weight matrix asks for petabytes,
+        # so the allocation fails at once
+        ["solve", "--gen", "debruijn:24", "--bisection"],
+        ["solve", "--input", "{huge}", "--l", "1", "--u", "1"],
+        ["solve", "--gen", "random:8x0.5", "--bisection", "--l", "1"],  # two budgets
     ],
     ids=["no-input", "bad-gen", "unknown-gen", "no-budget", "short-point", "bad-bound",
-         "bad-max-nodes", "solve-tol", "bound-tol", "unwritable-json"],
+         "bad-max-nodes", "solve-tol", "bound-tol", "unwritable-json", "huge-gen",
+         "huge-input", "bisection-and-l"],
 )
 def test_bad_input_prints_error_and_exits_1(tmp_path, capsys, argv):
     short = tmp_path / "x.txt"
     short.write_text("0\n1\n")  # two values for an 8-vertex graph
-    assert main([a.format(short=short, tmp=tmp_path) for a in argv]) == 1
+    huge = tmp_path / "huge.el"
+    huge.write_text("100000000 0\n")
+    assert main([a.format(short=short, huge=huge, tmp=tmp_path) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""

@@ -1,3 +1,8 @@
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -78,6 +83,17 @@ def test_matrix_exchange_parse_failure(tmp_path):
         qc.load_graph(p)
     with pytest.raises(qc.GraphFormatError):
         qc.load_graph(tmp_path / "noext")
+
+
+def test_import_loads_no_scipy():
+    # only .mtx input needs scipy, so a fresh `import qpcut` must not load it
+    code = "import qpcut, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.dirname(os.path.dirname(qc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_matrix_exchange_pattern_and_rectangular(tmp_path):
@@ -207,3 +223,34 @@ def test_weighted_graph_rejects_bad_matrices():
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             qc.WeightedGraph(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+GENERATOR_SHA256 = {
+    ("toroidal", 2, 5, 1): "80735cf57b78c8772b9cf79bf30a0850103f0ef13006e29608c90399708d390d",
+    ("toroidal", 2, 5, 2): "0de44c38c59210100a2fc3e69d35c4af359a742202acd8f729ba9e78bb7f1401",
+    ("toroidal", 5, 2, 1): "83201103bd2d92242d694799e5154d69a2eb5a96ce5f61fa504df28c3e9d572c",
+    ("toroidal", 5, 2, 2): "509e5219b1674c98e8d1a967cc39e2c6b13b791902798500608c2ffffeda6b2f",
+    ("toroidal", 4, 5, 1): "b854e81950230bd7851a637bc975e1cde3b9fa41fac1d1230fb0496a9afe60cd",
+    ("toroidal", 4, 5, 2): "64d7cd5132afc3ff2cb4de5e00802444a6cb08e1b753d8f74a8488d361a9b445",
+    ("planar", 1, 7, 1): "788d1ff06315924e55f3c543616fe56ad273f65cc16159eae4afea17317d0760",
+    ("planar", 1, 7, 2): "af9069394a66effa8e28bcc32fc08dfda95ca8968303b5dac206828e312babc6",
+    ("planar", 3, 4, 1): "05add29fc4d62fe6ab192c8038c6d38350e3d617f1fdea241909e767415d68aa",
+    ("planar", 3, 4, 2): "b5701360f9f4c414dc048bee46ba25638d93b9019cccd23c4d18e450748f66ec",
+    ("mixed", 2, 5, 1): "79bd53bd830aed56abda34b6818cfef4d4872482e64babf5042a28c19e9cd6df",
+    ("mixed", 2, 5, 2): "af300a8796a3f514f18f55f43990eb13d7f0a7c31ebbe8751137b87226ec0e07",
+    ("mixed", 3, 4, 1): "07ca8a30365a4e9bcb84ff56d191541143e86038d40e26c10131e1d8e1d31df4",
+    ("mixed", 3, 4, 2): "d88ca00c6939467b2af381b408c0ea4fcab80b437cc149888a4395a6501165f7",
+    ("random", 12, 0.6, 1): "0595aba7e01605feac8bfbe0969020a7d6c056d1447eced745c928d2ecc53874",
+    ("random", 12, 0.6, 2): "0afe3ba0eacdabed6ba30b3ca41f7f6b8497df07cb545da873e57101c3a67daa",
+    ("debruijn", 4): "98bac6f2e744bd9efca190bed2f7b7b801ebcbf85dbba7bbe8afcfc41f8fc3ac",
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(GENERATOR_SHA256, key=str), ids=lambda c: "-".join(map(str, c))
+)
+def test_generators_are_bit_identical_to_the_pinned_weights(case):
+    # a (kind, parameters, seed) triple names one exact matrix, draw order included
+    kind, *params = case
+    graph = getattr(qc, f"gen_{kind}")(*params)
+    assert hashlib.sha256(graph.weights.tobytes()).hexdigest() == GENERATOR_SHA256[case]
