@@ -21,7 +21,7 @@ converged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -276,7 +276,10 @@ def build_relaxation(reduced: ReducedQp, shift: DcShift) -> ReducedQp:
     """
     lam = shift.restrict(reduced.free)
     slope, offset = affine_underestimate(lam, reduced.fset)
-    return replace(reduced, lin=reduced.lin + slope, const=reduced.const + offset, lam=lam)
+    return ReducedQp(
+        free=reduced.free, M=reduced.M, lin=reduced.lin + slope,
+        const=reduced.const + offset, lo=reduced.lo, hi=reduced.hi, fset=reduced.fset, lam=lam,
+    )
 
 
 # ----------------------------------------------------------------------------

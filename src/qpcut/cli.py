@@ -47,6 +47,8 @@ def build_instance(args) -> WeightedGraph:
 
 def generate_from_spec(spec: str, seed: int) -> WeightedGraph:
     kind, _, rest = spec.partition(":")
+    if kind != "debruijn" and seed < 0:  # de Bruijn graphs take no seed
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
     try:
         if kind in ("toroidal", "planar", "mixed"):
             h, k = (int(v) for v in rest.split("x"))

@@ -8,10 +8,15 @@ safeguarded Barzilai-Borwein steplength and t* minimizes the quadratic
 exactly on the segment (best endpoint when the segment quadratic is
 concave).  The stopping rule is the unit-step projected-gradient residual
 ||P(x - g) - x|| <= tol, or the iteration cap; the defaults below are the
-ones branch and bound uses.  A relaxation solve given a cutoff also stops as
-soon as its certified lower bound, checked at iterations 0, 1, 2, 4, 8, ...,
-is above the cutoff: branch and bound then prunes the node, and more
-iterations could not change that.
+ones branch and bound uses.  Each pass projects once for the step and
+computes the residual only when the step cannot rule it out: for x in a
+convex set, ||P(x - alpha g) - x|| is nondecreasing in alpha and
+||P(x - alpha g) - x|| / alpha nonincreasing (Calamai & More 1987,
+Math. Programming 39, Lemma 2.2), so the residual is at least
+min(1, 1/alpha) ||P(x - alpha g) - x||.  A relaxation solve given a
+cutoff also stops as soon as its certified lower bound, checked at
+iterations 0, 1, 2, 4, 8, ..., is above the cutoff: branch and bound then
+prunes the node, and more iterations could not change that.
 """
 
 from __future__ import annotations
@@ -126,6 +131,12 @@ def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
     return y
 
 
+def _residual(x, g, fset: FeasibleSet) -> float:
+    """The unit-step projected-gradient residual ||P(x - g) - x||."""
+    r = project(x - g, fset) - x
+    return math.sqrt(r @ r)
+
+
 def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     """Gradient projection on a quadratic problem from x0; returns (report, bound).
 
@@ -138,6 +149,15 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     certified bound (certified_lower_bound recomputes the exact gradient at
     its point) nor a converged report: a carried residual within tol is
     checked again at the exact gradient, which the loop then carries on.
+
+    Each pass projects for the step d = P(x - alpha g) - x first.  By the
+    lemma in the module docstring the residual is at least
+    min(1, 1/alpha) ||d||; when that is above 2 tol the pass cannot have
+    converged and P(x - g) is not formed.  The factor 2 leaves a margin of
+    tol for rounding and for the ~1e-12 infeasibility of the iterates, so
+    the residual is skipped only where it would be above tol, and the
+    iterates, bounds and reports are those of computing it on every pass.
+    A stop on a pass that skipped it computes it once for the report.
 
     With a cutoff, problem must be a convex relaxation: its certified lower
     bound is computed at iterations 0, 1, 2, 4, 8, ... and the loop stops
@@ -158,16 +178,22 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     converged = False
     bound = None
     for iterations in range(max_iter + 1):
-        r = project(x - g, fset) - x
-        residual = math.sqrt(r @ r)
-        if residual <= tol and iterations:
-            # confirm at the exact gradient, which the carried one may have drifted from
-            g = problem.grad(x)
-            r = project(x - g, fset) - x
-            residual = math.sqrt(r @ r)
-        if residual <= tol:
-            converged = True
-            break
+        d = project(x - alpha * g, fset) - x
+        dd = float(d @ d)
+        residual = None
+        scale = min(1.0, 1.0 / alpha)
+        if dd * scale * scale <= 4.0 * tol * tol:  # else residual >= 2 tol: skip it
+            residual = _residual(x, g, fset)
+            if residual <= tol and iterations:
+                # confirm at the exact gradient, which the carried one may have drifted from
+                g = problem.grad(x)
+                residual = _residual(x, g, fset)
+                if residual > tol:  # step from the exact gradient, too
+                    d = project(x - alpha * g, fset) - x
+                    dd = float(d @ d)
+            if residual <= tol:
+                converged = True
+                break
         if cutoff is not None and not iterations & (iterations - 1):
             if problem.value(x) <= cutoff:
                 cutoff = None  # no certified bound exceeds min f_L <= f_L(x)
@@ -178,8 +204,7 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
                     break
         if iterations == max_iter:
             break
-        d = project(x - alpha * g, fset) - x
-        if not d.any():
+        if dd == 0.0 and not d.any():
             break  # fixed point for this steplength: stationary
         a = float(g @ d)  # < 0 by the projection inequality
         hd = -2.0 * problem.matvec(d)
@@ -194,8 +219,10 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
         x = x + t * d
         g = g + t * hd
         # BB step s.s / s.y with s = t d and y = t Hd
-        alpha = float(d @ d) / b if t * t * b > 1e-30 else ALPHA_MAX
+        alpha = dd / b if t * t * b > 1e-30 else ALPHA_MAX
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
+    if residual is None:  # stopped on a pass that skipped it
+        residual = _residual(x, g, fset)
 
     report = SolveReport(
         x=x, value=problem.value(x), residual=residual, iterations=iterations,

@@ -126,8 +126,8 @@ class ReducedQp:
     build_relaxation sets lam, so a relaxation keeps its subproblem's M (a
     view of the parent's) and matvec forms (M - Diag(lam)) x as
     M x - lam * x.  fset is built once here when not given, and
-    dataclasses.replace passes it on, so a problem derived on the same
-    coordinates and window (the node relaxation) shares it.
+    build_relaxation passes it on, so the node relaxation (same coordinates
+    and window) shares it.
     """
 
     free: np.ndarray
@@ -185,6 +185,9 @@ def make_qp(graph: WeightedGraph, spec: PartitionSpec) -> ReducedQp:
     return ReducedQp(free=np.arange(graph.n), M=m, lin=lin, const=0.0, lo=spec.l, hi=spec.u)
 
 
+_BINARY = frozenset((0.0, 1.0))
+
+
 def reduce(problem: ReducedQp, label, order=None) -> ReducedQp:
     """Fix the first len(label) coordinates to the bits in `label`.
 
@@ -204,13 +207,16 @@ def reduce(problem: ReducedQp, label, order=None) -> ReducedQp:
             raise ValueError("order must be a permutation of range(n)")
         m, lin, free = m[np.ix_(order, order)], lin[order], free[order]
     bits = np.asarray(label, dtype=float)
+    if bits.ndim != 1:
+        raise ValueError("label must be a sequence of bits")
     if bits.size > n:
         raise ValueError("label longer than the vertex count")
-    if bits.size and not np.all((bits == 0.0) | (bits == 1.0)):
+    values = bits.tolist()  # a label is short: Python beats numpy's per-call cost
+    if not _BINARY.issuperset(values):
         raise ValueError("label entries must be 0 or 1")
 
     i = bits.size
-    ones = int(bits.sum())
+    ones = int(sum(values))
     lo = problem.lo - ones
     hi = problem.hi - ones
     if hi < 0 or lo > n - i:

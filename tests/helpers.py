@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -141,6 +143,66 @@ def projection_oracle(x, fset):
                 best_d = d
                 best = y
     return best
+
+
+def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.project):
+    """qpcut.projgrad._gp_loop as it was before the residual skip: every pass
+    projects x - g for the residual and x - alpha g for the step.  Returns
+    (report, bound) like the solver's loop; project can count the calls."""
+    from qpcut.projgrad import ALPHA_MAX, ALPHA_MIN
+
+    fset = problem.fset
+    x = np.asarray(x0, dtype=float).copy()
+    g = problem.grad(x)
+    gmax = float(np.abs(g).max()) if g.size else 0.0
+    alpha = 1.0 if gmax == 0.0 else 1.0 / gmax
+    alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
+
+    iterations = 0
+    converged = False
+    bound = None
+    for iterations in range(max_iter + 1):
+        r = project(x - g, fset) - x
+        residual = math.sqrt(r @ r)
+        if residual <= tol and iterations:
+            g = problem.grad(x)
+            r = project(x - g, fset) - x
+            residual = math.sqrt(r @ r)
+        if residual <= tol:
+            converged = True
+            break
+        if cutoff is not None and not iterations & (iterations - 1):
+            if problem.value(x) <= cutoff:
+                cutoff = None
+            else:
+                cert = qc.certified_lower_bound(problem, x)
+                if cert > cutoff:
+                    bound = cert
+                    break
+        if iterations == max_iter:
+            break
+        d = project(x - alpha * g, fset) - x
+        if not d.any():
+            break
+        a = float(g @ d)
+        hd = -2.0 * problem.matvec(d)
+        b = float(d @ hd)
+        if b > 0.0:
+            t = min(1.0, -a / b)
+        else:
+            t = 1.0 if a + 0.5 * b <= 0.0 else 0.0
+        if t <= 0.0:
+            break
+        x = x + t * d
+        g = g + t * hd
+        alpha = float(d @ d) / b if t * t * b > 1e-30 else ALPHA_MAX
+        alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
+
+    report = qc.SolveReport(
+        x=x, value=problem.value(x), residual=residual, iterations=iterations,
+        converged=converged, cutoff_stop=bound is not None,
+    )
+    return report, bound
 
 
 def subtree_minima(g, spec, order):

@@ -193,10 +193,11 @@ def test_solve_rejects_bad_limits(capsys, flags):
         ["solve", "--gen", "debruijn:24", "--bisection"],
         ["solve", "--input", "{huge}", "--l", "1", "--u", "1"],
         ["solve", "--gen", "random:8x0.5", "--bisection", "--l", "1"],  # two budgets
+        ["solve", "--gen", "random:6x0.5", "--bisection", "--seed", "-3"],
     ],
     ids=["no-input", "bad-gen", "unknown-gen", "no-budget", "short-point", "bad-bound",
          "bad-max-nodes", "solve-tol", "bound-tol", "unwritable-json", "huge-gen",
-         "huge-input", "bisection-and-l"],
+         "huge-input", "bisection-and-l", "negative-seed"],
 )
 def test_bad_input_prints_error_and_exits_1(tmp_path, capsys, argv):
     short = tmp_path / "x.txt"
@@ -206,3 +207,5 @@ def test_bad_input_prints_error_and_exits_1(tmp_path, capsys, argv):
     assert main([a.format(short=short, huge=huge, tmp=tmp_path) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+    if "--seed" in argv:  # the seed is at fault, not the --gen spec
+        assert "--seed" in captured.err and "--gen" not in captured.err

@@ -120,3 +120,31 @@ def test_projection_large_n(case):
     if target is not None:
         assert abs(y.sum() - target) <= 1e-12 * max(1.0, abs(target))
     assert np.abs(qc.project(y, fs) - y).max() <= 1e-11 * max(1.0, abs(fs.lo), abs(fs.hi))
+
+
+@given(
+    projection_cases(max_n=30, max_scale=1e3),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-3, 1.0, 10.0]),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+)
+def test_projected_step_bounds_the_unit_step_residual(case, seed, gscale, e1, e2):
+    # For x in the set, ||P(x - a g) - x|| is nondecreasing in a and
+    # ||P(x - a g) - x|| / a nonincreasing (Calamai & More 1987, Lemma 2.2),
+    # so the unit-step residual is at least min(1, 1/a) ||P(x - a g) - x||:
+    # the gradient projection loop skips the residual on that bound.
+    z, fs = case
+    x = qc.project(z, fs)
+    g = np.random.default_rng(seed).standard_normal(x.size) * gscale
+    a1, a2 = sorted((10.0**e1, 10.0**e2))
+
+    def step(a):
+        return np.linalg.norm(qc.project(x - a * g, fs) - x)
+
+    slack = 1e-12 + rounding_slack(fs, x - a2 * g)
+    residual = step(1.0)
+    for a in (a1, a2):
+        assert residual >= min(1.0, 1.0 / a) * step(a) - slack
+    assert step(a1) <= step(a2) + slack
+    assert step(a2) / a2 <= step(a1) / a1 + slack / a1

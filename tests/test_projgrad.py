@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -6,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpcut as qc
+from qpcut import projgrad
 from qpcut.qp import FeasibleSet
-from helpers import cut_instances, path_graph, random_graph, projection_oracle
+from helpers import (
+    cut_instances, path_graph, projection_oracle, random_graph, reference_gp_loop,
+)
 
 
 def unit_set(n, lo, hi):
@@ -152,17 +156,20 @@ def _carried_gradient_cases():
     yield pytest.param(7, (13, 0.7, 4, 13), id="n13-window-4-13-ordered")
 
 
+def carried_gradient_qp(seed, case):
+    """The root problem of a _carried_gradient_cases entry, and its order."""
+    if case is None:
+        return seeded_qp(seed), None
+    n, density, lo, hi = case
+    g = random_graph(n, density, seed)
+    return qc.make_qp(g, qc.PartitionSpec(lo, hi)), qc.order_vertices(g)
+
+
 @pytest.mark.parametrize("seed, case", _carried_gradient_cases())
 def test_carried_gradient_cannot_fake_convergence(seed, case):
     # the loop updates g <- g + t Hd instead of re-evaluating the gradient; a
     # converged report must still be stationary to tol at the exact gradient
-    if case is None:
-        qp, order = seeded_qp(seed), None
-    else:
-        n, density, lo, hi = case
-        g = random_graph(n, density, seed)
-        qp = qc.make_qp(g, qc.PartitionSpec(lo, hi))
-        order = qc.order_vertices(g)
+    qp, order = carried_gradient_qp(seed, case)
     checked = 0
     for shift in (qc.sdp_shift(qp.M), qc.sigma_shift(qp.M)):
         for label in ((), (1,), (0, 1)):
@@ -212,9 +219,9 @@ def test_relaxations_below_the_default_tol_stop_at_a_rounding_floor(tol, max_cap
 
 
 @st.composite
-def node_relaxations(draw, kind):
-    """(rel, x0, tol): the relaxation of a feasible node of a random instance
-    in branching order, under the given shift kind, and a feasible start."""
+def node_problems(draw, kind):
+    """(red, rel, x0, tol): a feasible node of a random instance in branching
+    order, its relaxation under the given shift kind, and a feasible start."""
     g, spec = draw(cut_instances())
     qp = qc.make_qp(g, spec)
     order = qc.order_vertices(g)
@@ -226,10 +233,21 @@ def node_relaxations(draw, kind):
     shift = qc.sdp_shift(qp.M) if kind == "sdp" else qc.sigma_shift(qp.M)
     rel = qc.build_relaxation(red, shift)
     x0 = qc.project(rng.random(red.n) * 1.5 - 0.25, rel.fset)
-    return rel, x0, draw(st.sampled_from([1e-4, 1e-7]))
+    return red, rel, x0, draw(st.sampled_from([1e-4, 1e-7]))
+
+
+def node_relaxations(kind):
+    """(rel, x0, tol) of node_problems."""
+    return node_problems(kind).map(lambda case: case[1:])
 
 
 CUT_MAX_ITER = 300
+
+
+def assert_same_report(report, ref):
+    for f in dataclasses.fields(qc.SolveReport):
+        a, b = getattr(report, f.name), getattr(ref, f.name)
+        assert np.array_equal(a, b), (f.name, a, b)
 
 
 def checkpoint_bounds(rel, x0, tol):
@@ -279,7 +297,76 @@ def test_cutoff_that_never_passes_leaves_the_solve_unchanged(kind, data):
     cutoffs = [None, np.inf] + ([max(c[1] for c in checks)] if checks else [])
     for cutoff in cutoffs:
         report, bound = qc.solve_convex(rel, x0, tol=tol, max_iter=CUT_MAX_ITER, cutoff=cutoff)
-        for f in dataclasses.fields(qc.SolveReport):
-            a, b = getattr(report, f.name), getattr(plain, f.name)
-            assert np.array_equal(a, b), (cutoff, f.name, a, b)
+        assert_same_report(report, plain)
         assert bound == plain_bound
+
+
+@contextlib.contextmanager
+def counted_projections():
+    """Count the calls to projgrad.project inside the block (the reference
+    loop counts when it is given projgrad.project there)."""
+    calls = [0]
+
+    def counting(x, fset):
+        calls[0] += 1
+        return qc.project(x, fset)
+
+    projgrad.project = counting
+    try:
+        yield calls
+    finally:
+        projgrad.project = qc.project
+
+
+def assert_matches_reference(red, rel, x0, tol, max_iter):
+    """solve_convex (with and without cutoffs) and descend_nonconvex against
+    reference_gp_loop: the same reports and bounds, bit for bit, at the cost
+    of at most one extra projection (the step of the pass that stops)."""
+    plain, _ = reference_gp_loop(rel, x0, tol, max_iter)
+    start = qc.certified_lower_bound(rel, x0)
+    end = qc.certified_lower_bound(rel, plain.x)
+    # no cutoff, and cutoffs just below the start's and the plain end's bounds
+    for cutoff in (None, start - 1e-9 * (1.0 + abs(start)), end - 1e-9 * (1.0 + abs(end))):
+        with counted_projections() as ref_calls:
+            ref, ref_bound = reference_gp_loop(
+                rel, x0, tol, max_iter, cutoff, project=projgrad.project
+            )
+        if ref_bound is None:
+            ref_bound = qc.certified_lower_bound(rel, ref.x)
+        with counted_projections() as calls:
+            report, bound = qc.solve_convex(rel, x0, tol=tol, max_iter=max_iter, cutoff=cutoff)
+        assert_same_report(report, ref)
+        assert bound == ref_bound
+        assert calls[0] <= ref_calls[0] + 1
+
+    with counted_projections() as ref_calls:
+        ref, _ = reference_gp_loop(red, plain.x, tol, max_iter, project=projgrad.project)
+    with counted_projections() as calls:
+        out = qc.descend_nonconvex(red, plain.x, tol=tol, max_iter=max_iter)
+    assert_same_report(out, ref)
+    assert calls[0] <= ref_calls[0] + 1
+
+
+@pytest.mark.parametrize("kind", ["sdp", "eig"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_residual_skip_is_bit_identical_to_the_two_projection_loop(kind, data):
+    # The loop leaves out P(x - g) when the step's projection proves the
+    # residual above tol; it must not change what the loop returns.
+    red, rel, x0, tol = data.draw(node_problems(kind))
+    max_iter = data.draw(st.sampled_from([0, 1, 5, projgrad.SOLVE_MAX_ITER]))
+    assert_matches_reference(red, rel, x0, tol, max_iter)
+
+
+@pytest.mark.parametrize("seed, case", _carried_gradient_cases())
+def test_residual_skip_matches_the_reference_where_the_confirm_fails(seed, case):
+    # at tol 1e-12 the carried residual can pass while the exact one does
+    # not; the pass then steps from the exact gradient
+    qp, order = carried_gradient_qp(seed, case)
+    for shift in (qc.sdp_shift(qp.M), qc.sigma_shift(qp.M)):
+        for label in ((), (1,), (0, 1)):
+            red = qc.reduce(qp, label, order)
+            rel = qc.build_relaxation(red, shift)
+            x0 = qc.project(np.full(rel.n, 0.5), rel.fset)
+            for tol in (1e-4, 1e-8, 1e-12):
+                assert_matches_reference(red, rel, x0, tol, projgrad.SOLVE_MAX_ITER)
