@@ -24,9 +24,9 @@ its const, which is also its bound.  The full-length incumbent is assembled
 once, at exit.
 
 Relaxations and descents stop by the defaults of qpcut.projgrad.
-all_relaxations_converged is true when every relaxation met the residual
-rule or stopped at a bound above its cutoff, and false when one hit its
-iteration cap or stalled first.  At exit, lower_bound is the value when
+all_relaxations_converged is true when every relaxation's SolveReport.stop
+is 'converged' or 'cutoff', and false when one stopped at its iteration cap
+or at the rounding floor first.  At exit, lower_bound is the value when
 optimal and otherwise the smallest bound still open, which best-first order
 makes a bound on the optimum.
 """
@@ -84,8 +84,8 @@ class Solution:
     # the smallest bound still open (up to the EPS prune slack, as for value)
     lower_bound: float = float("-inf")
     best_x: np.ndarray | None = None
-    # every relaxation met the residual rule or stopped at a certified bound
-    # above its cutoff; false when one hit its iteration cap or stalled first
+    # every relaxation stopped as 'converged' or 'cutoff'; false when one
+    # stopped at its iteration cap or at the rounding floor first
     all_relaxations_converged: bool = True
     shift: DcShift | None = None  # the certified shift every node bound used
 
@@ -167,7 +167,7 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
                 report, cert = solve_convex(build_relaxation(red, shift), x0, cutoff=cutoff)
                 bound = max(cert, parent_bound)
                 node_bounds.append((label, bound))
-                all_converged = all_converged and (report.converged or report.cutoff_stop)
+                all_converged = all_converged and report.stop in ("converged", "cutoff")
                 if bound > cutoff:
                     continue  # its candidate would cost at least the bound
                 y, val = upper_bound_from(red, report.x)

@@ -110,11 +110,6 @@ def _psd_certificate(s: np.ndarray, scale: float):
     return None
 
 
-def _lambda_max_estimate(m: np.ndarray) -> float:
-    """Largest eigenvalue; a separate function so tests can feed a bad estimate."""
-    return float(np.linalg.eigvalsh(m)[-1]) if m.shape[0] else 0.0
-
-
 def _certified(m: np.ndarray, lam: np.ndarray, kind: str, warning: bool = False) -> DcShift:
     """Certify Diag(lam) - M as PSD, repairing lam first; the tail of both shifts.
 
@@ -141,21 +136,16 @@ def _certified(m: np.ndarray, lam: np.ndarray, kind: str, warning: bool = False)
     raise RuntimeError("could not certify the diagonal shift")  # pragma: no cover
 
 
-_SIGMA_MARGIN = 1e-6  # relative safety margin on top of lambda_max
-
-
 def sigma_shift(m) -> DcShift:
-    """Scalar shift sigma = max(0, lambda_max(M)) with a relative safety margin.
+    """Scalar shift sigma = lambda_max(M) + 1e-12 * scale, or 0 if lambda_max(M) <= 0.
 
-    sigma goes through the same certification tail as sdp_shift: on a
-    correct eigenvalue estimate sigma*I - M is already PSD and sigma is
-    returned as is; a low estimate is lifted by the missing eigenvalue.
-    A matrix with a non-finite entry or absolute row sum, or one whose shift
-    overflows, raises ValueError.
+    That is the certification tail applied to lam = 0: its uniform lift by
+    the most negative eigenvalue of -M, then Cholesky.  A matrix with a
+    non-finite entry or absolute row sum, or one whose shift overflows,
+    raises ValueError.
     """
     m = _check_sym(m)
-    est = max(0.0, _lambda_max_estimate(m))
-    return _certified(m, np.full(m.shape[0], est * (1.0 + _SIGMA_MARGIN)), "eig")
+    return _certified(m, np.zeros(m.shape[0]), "eig")
 
 
 def _center(m, lam, t, barrier_pos):
@@ -237,7 +227,7 @@ def sdp_shift(m) -> DcShift:
 # ----------------------------------------------------------------------------
 
 
-def affine_underestimate(shift, fset: FeasibleSet):
+def affine_underestimate(lam, fset: FeasibleSet):
     """Best affine underestimate of -x^T Diag(lam) x over the unit box.
 
     With y = Lam^(1/2) x the concave part is -||y||^2.  Over any set inside
@@ -249,7 +239,7 @@ def affine_underestimate(shift, fset: FeasibleSet):
     hyperplane gives the same affine function on the slice (the extra
     constants cancel).  Zero shift entries get zero slope.
     """
-    lam = np.asarray(getattr(shift, "lam", shift), dtype=float)
+    lam = np.asarray(lam, dtype=float)
     if lam.shape != (fset.dim,):
         raise ValueError("shift dimension does not match the set")
     if np.any(lam < -1e-12):

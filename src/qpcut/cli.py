@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -144,9 +145,13 @@ def cmd_generate(args):
 
 def cmd_check(args, graph: WeightedGraph, spec: PartitionSpec):
     qp = make_qp(graph, spec)
-    x = np.loadtxt(args.point, ndmin=1, dtype=float)
-    if x.shape != (graph.n,):
-        raise ValueError(f"point file holds {x.size} values, expected {graph.n}")
+    with warnings.catch_warnings():  # numpy warns on an empty file, rejected below
+        warnings.simplefilter("ignore", UserWarning)
+        x = np.loadtxt(args.point, ndmin=2, dtype=float)
+    if min(x.shape) > 1 or x.size != graph.n:
+        raise ValueError(f"point file holds a {x.shape[0]}x{x.shape[1]} table, "
+                         f"expected one row or one column of {graph.n} values")
+    x = x.ravel()
     assessment = check_strict(qp, x)
     move = descent_direction(qp, x, assessment)
     report = {

@@ -40,12 +40,21 @@ DESCENT_MAX_ITER = 2000  # iterations per nonconvex descent
 
 @dataclass
 class SolveReport:
+    """Final point, iteration count and exit reason of a gradient projection run.
+
+    stop: 'converged' (residual within tol), 'cutoff' (certified bound above
+    the cutoff), 'cap' (max_iter reached) or 'floor' (no descent left in
+    floating point: a zero step, or a segment search that returns t = 0).
+    """
+
     x: np.ndarray
-    value: float
-    residual: float
     iterations: int
-    converged: bool
-    cutoff_stop: bool = False  # stopped because the certified bound passed the cutoff
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        """stop == 'converged'; perfbench/tracing.py reads this name."""
+        return self.stop == "converged"
 
 
 def project(x, fset: FeasibleSet) -> np.ndarray:
@@ -157,7 +166,6 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     tol for rounding and for the ~1e-12 infeasibility of the iterates, so
     the residual is skipped only where it would be above tol, and the
     iterates, bounds and reports are those of computing it on every pass.
-    A stop on a pass that skipped it computes it once for the report.
 
     With a cutoff, problem must be a convex relaxation: its certified lower
     bound is computed at iterations 0, 1, 2, 4, 8, ... and the loop stops
@@ -174,13 +182,10 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     alpha = 1.0 if gmax == 0.0 else 1.0 / gmax
     alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
 
-    iterations = 0
-    converged = False
     bound = None
-    for iterations in range(max_iter + 1):
+    for iterations in range(max(max_iter, 0) + 1):
         d = project(x - alpha * g, fset) - x
         dd = float(d @ d)
-        residual = None
         scale = min(1.0, 1.0 / alpha)
         if dd * scale * scale <= 4.0 * tol * tol:  # else residual >= 2 tol: skip it
             residual = _residual(x, g, fset)
@@ -192,7 +197,7 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
                     d = project(x - alpha * g, fset) - x
                     dd = float(d @ d)
             if residual <= tol:
-                converged = True
+                stop = "converged"
                 break
         if cutoff is not None and not iterations & (iterations - 1):
             if problem.value(x) <= cutoff:
@@ -201,11 +206,14 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
                 cert = certified_lower_bound(problem, x)
                 if cert > cutoff:
                     bound = cert
+                    stop = "cutoff"
                     break
         if iterations == max_iter:
+            stop = "cap"
             break
         if dd == 0.0 and not d.any():
-            break  # fixed point for this steplength: stationary
+            stop = "floor"  # fixed point for this steplength: stationary
+            break
         a = float(g @ d)  # < 0 by the projection inequality
         hd = -2.0 * problem.matvec(d)
         b = float(d @ hd)
@@ -215,20 +223,14 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
             # concave (or flat) segment quadratic: best endpoint
             t = 1.0 if a + 0.5 * b <= 0.0 else 0.0
         if t <= 0.0:
+            stop = "floor"  # no descent left in floating point
             break
         x = x + t * d
         g = g + t * hd
         # BB step s.s / s.y with s = t d and y = t Hd
         alpha = dd / b if t * t * b > 1e-30 else ALPHA_MAX
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
-    if residual is None:  # stopped on a pass that skipped it
-        residual = _residual(x, g, fset)
-
-    report = SolveReport(
-        x=x, value=problem.value(x), residual=residual, iterations=iterations,
-        converged=converged, cutoff_stop=bound is not None,
-    )
-    return report, bound
+    return SolveReport(x=x, iterations=iterations, stop=stop), bound
 
 
 def solve_convex(rel: ReducedQp, x0=None, tol: float = RESIDUAL_TOL,
@@ -238,9 +240,9 @@ def solve_convex(rel: ReducedQp, x0=None, tol: float = RESIDUAL_TOL,
     The objective is monotone nonincreasing across accepted steps, and the
     returned bound is certified at the final iterate, so it stays sound even
     when the iteration cap is hit.  Given a cutoff, the solve may stop early
-    with report.cutoff_stop set (and converged not set); the bound returned
-    is then the one that passed the cutoff.  The checks never alter the
-    iterates, so a solve that no check stops returns what cutoff=None does.
+    with report.stop == 'cutoff'; the bound returned is then the one that
+    passed the cutoff.  The checks never alter the iterates, so a solve that
+    no check stops returns what cutoff=None does.
     """
     if x0 is None:
         x0 = project(np.full(rel.n, 0.5), rel.fset)

@@ -159,7 +159,6 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
     alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
 
     iterations = 0
-    converged = False
     bound = None
     for iterations in range(max_iter + 1):
         r = project(x - g, fset) - x
@@ -169,7 +168,7 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
             r = project(x - g, fset) - x
             residual = math.sqrt(r @ r)
         if residual <= tol:
-            converged = True
+            stop = "converged"
             break
         if cutoff is not None and not iterations & (iterations - 1):
             if problem.value(x) <= cutoff:
@@ -178,11 +177,14 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
                 cert = qc.certified_lower_bound(problem, x)
                 if cert > cutoff:
                     bound = cert
+                    stop = "cutoff"
                     break
         if iterations == max_iter:
+            stop = "cap"
             break
         d = project(x - alpha * g, fset) - x
         if not d.any():
+            stop = "floor"
             break
         a = float(g @ d)
         hd = -2.0 * problem.matvec(d)
@@ -192,17 +194,13 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
         else:
             t = 1.0 if a + 0.5 * b <= 0.0 else 0.0
         if t <= 0.0:
+            stop = "floor"
             break
         x = x + t * d
         g = g + t * hd
         alpha = float(d @ d) / b if t * t * b > 1e-30 else ALPHA_MAX
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
-
-    report = qc.SolveReport(
-        x=x, value=problem.value(x), residual=residual, iterations=iterations,
-        converged=converged, cutoff_stop=bound is not None,
-    )
-    return report, bound
+    return qc.SolveReport(x=x, iterations=iterations, stop=stop), bound
 
 
 def subtree_minima(g, spec, order):

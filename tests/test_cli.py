@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,9 @@ def test_solve_rejects_bad_limits(capsys, flags):
         ["solve", "--gen", "lattice:3x3", "--bisection"],  # unknown generator
         ["solve", "--gen", "random:8x0.5"],  # neither --l/--u nor --bisection
         ["check", "--gen", "random:8x0.5", "--bisection", "--point", "{short}"],
+        # 8 values, but as a 2x4 table; an empty file (numpy would warn first)
+        ["check", "--gen", "random:8x0.5", "--bisection", "--point", "{table}"],
+        ["check", "--gen", "random:8x0.5", "--bisection", "--point", "{empty}"],
         ["solve", "--gen", "random:8x0.5", "--bisection", "--bound", "foo"],
         ["solve", "--gen", "random:8x0.5", "--bisection", "--max-nodes", "abc"],
         ["solve", "--gen", "random:8x0.5", "--bisection", "--tol", "1e-4"],  # no such flag
@@ -195,17 +199,27 @@ def test_solve_rejects_bad_limits(capsys, flags):
         ["solve", "--gen", "random:8x0.5", "--bisection", "--l", "1"],  # two budgets
         ["solve", "--gen", "random:6x0.5", "--bisection", "--seed", "-3"],
     ],
-    ids=["no-input", "bad-gen", "unknown-gen", "no-budget", "short-point", "bad-bound",
+    ids=["no-input", "bad-gen", "unknown-gen", "no-budget", "short-point", "table-point",
+         "empty-point", "bad-bound",
          "bad-max-nodes", "solve-tol", "bound-tol", "unwritable-json", "huge-gen",
          "huge-input", "bisection-and-l", "negative-seed"],
 )
 def test_bad_input_prints_error_and_exits_1(tmp_path, capsys, argv):
     short = tmp_path / "x.txt"
     short.write_text("0\n1\n")  # two values for an 8-vertex graph
+    table = tmp_path / "table.txt"
+    table.write_text("0 1 0 1\n1 0 1 0\n")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
     huge = tmp_path / "huge.el"
     huge.write_text("100000000 0\n")
-    assert main([a.format(short=short, huge=huge, tmp=tmp_path) for a in argv]) == 1
+    paths = dict(short=short, table=table, empty=empty, huge=huge, tmp=tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach stderr ahead of error:
+        assert main([a.format(**paths) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+    if "{table}" in argv:  # the message names the shape, not a count that matches
+        assert "2x4" in captured.err
     if "--seed" in argv:  # the seed is at fault, not the --gen spec
         assert "--seed" in captured.err and "--gen" not in captured.err

@@ -70,7 +70,7 @@ def test_solve_convex_zero_iterations_at_minimizer():
     rel = relaxation(qp)
     report, bound = qc.solve_convex(rel, x0=np.array([0.3, 0.6]))
     assert report.converged and report.iterations == 0
-    assert bound <= report.value + 1e-12
+    assert bound <= rel.value(report.x) + 1e-12
 
 
 def test_solve_convex_reaches_known_budget_face_minimizer():
@@ -82,7 +82,7 @@ def test_solve_convex_reaches_known_budget_face_minimizer():
     report, bound = qc.solve_convex(rel, x0=np.array([1.0, 0.0]), tol=1e-6)
     assert report.converged
     assert np.allclose(report.x, [0.5, 0.5], atol=1e-4)
-    assert report.value == pytest.approx(0.0, abs=1e-6)
+    assert rel.value(report.x) == pytest.approx(0.0, abs=1e-6)
     assert bound <= 1.0  # true optimum of the binary problem
 
 
@@ -97,12 +97,12 @@ def test_solve_convex_monotone_and_stopping():
         values = []
         for iters in range(0, 40, 5):
             report, _ = qc.solve_convex(rel, x0=x, tol=1e-12, max_iter=iters)
-            values.append(report.value)
+            values.append(rel.value(report.x))
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
         report, bound = qc.solve_convex(rel, x0=x, tol=1e-4, max_iter=10000)
-        assert report.converged and report.residual <= 1e-4
-        assert bound <= report.value + 1e-9
+        assert report.converged and exact_residual(rel.grad, report.x, fs) <= 1e-4
+        assert bound <= rel.value(report.x) + 1e-9
 
 
 def test_solve_convex_rejects_infeasible_start():
@@ -121,7 +121,7 @@ def test_descend_nonconvex_monotone_from_relaxation_point():
         red = qc.reduce(qp, ())
         start_val = red.value(report.x)
         out = qc.descend_nonconvex(red, report.x)
-        assert out.value <= start_val + 1e-9
+        assert red.value(out.x) <= start_val + 1e-9
 
 
 def test_descend_nonconvex_stationary_binary_start():
@@ -131,7 +131,7 @@ def test_descend_nonconvex_stationary_binary_start():
     red = qc.reduce(qp, ())
     out = qc.descend_nonconvex(red, np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(out.x, [1.0, 0.0, 0.0])
-    assert out.value == 1.0
+    assert red.value(out.x) == 1.0
 
 
 def exact_residual(grad, x, fs):
@@ -192,12 +192,13 @@ def test_carried_gradient_cannot_fake_convergence(seed, case):
 def test_relaxations_below_the_default_tol_stop_at_a_rounding_floor(tol, max_capped):
     # On the 48 relaxations of seeds 0-7 (both shifts, labels (), (1,), (0, 1))
     # every solve converges at the default tol.  Below it, an unconverged solve
-    # almost never runs to the cap: at 1e-8, 23 of 24 stop after 12-280
-    # iterations (at 1e-12, 29 of 32 after 12-581) because the projected step
+    # almost never runs to the cap: at 1e-8, 22 of 23 stop after 11-280
+    # iterations (at 1e-12, 27 of 30 after 11-581) because the projected step
     # is no longer a descent direction in floating point (g.d >= 0, so the
-    # exact segment search returns t = 0).  Their exact residuals are at most
-    # 6.5e-7, and a fresh start from the stop point lowers f by at most 5.4e-15
-    # relative: a rounding floor, not cycling or slow convergence.
+    # exact segment search returns t = 0), and report stop == "floor".  Their
+    # exact residuals are at most 6.5e-7, and a fresh start from the stop point
+    # lowers f by at most 5.9e-15 relative: a rounding floor, not cycling or
+    # slow convergence.
     capped = 0
     for seed in range(8):
         qp = seeded_qp(seed)
@@ -208,14 +209,42 @@ def test_relaxations_below_the_default_tol_stop_at_a_rounding_floor(tol, max_cap
                 if report.converged:
                     continue
                 assert tol < 1e-4, (seed, label)
-                if report.iterations == 10**4:
+                if report.stop == "cap":
                     capped += 1
                     continue
-                assert report.iterations <= 600
+                assert report.stop == "floor" and report.iterations <= 600
                 assert exact_residual(rel.grad, report.x, rel.fset) < 1e-6
                 again, _ = qc.solve_convex(rel, x0=report.x, tol=tol, max_iter=10**4)
-                assert report.value - again.value <= 1e-14 * max(1.0, abs(report.value))
+                value = rel.value(report.x)
+                assert value - rel.value(again.x) <= 1e-14 * max(1.0, abs(value))
     assert capped <= max_capped
+
+
+def test_each_stop_reason_is_reached_and_reported():
+    # seed 1's root relaxation, from a start that is far from stationary
+    qp = seeded_qp(1)
+    rel = qc.build_relaxation(qc.reduce(qp, ()), qc.sdp_shift(qp.M))
+    x0 = qc.project(np.linspace(0.0, 1.0, rel.n), rel.fset)
+    assert exact_residual(rel.grad, x0, rel.fset) > 1.0
+
+    report, _ = qc.solve_convex(rel, x0)
+    assert report.stop == "converged" and report.converged and report.iterations > 0
+    assert exact_residual(rel.grad, report.x, rel.fset) <= projgrad.RESIDUAL_TOL
+
+    start = qc.certified_lower_bound(rel, x0)
+    report, bound = qc.solve_convex(rel, x0, cutoff=start - 1.0)
+    assert (report.stop, report.iterations, bound) == ("cutoff", 0, start)
+    assert not report.converged
+
+    report, _ = qc.solve_convex(rel, x0, max_iter=0)
+    assert (report.stop, report.iterations) == ("cap", 0)
+    assert np.array_equal(report.x, x0) and not report.converged
+
+    # below the default tol the solve ends at the rounding floor, long before the cap
+    report, _ = qc.solve_convex(rel, x0, tol=1e-12)
+    assert report.stop == "floor" and not report.converged
+    assert report.iterations < projgrad.SOLVE_MAX_ITER
+    assert 1e-12 < exact_residual(rel.grad, report.x, rel.fset) < 1e-6
 
 
 @st.composite
@@ -276,7 +305,7 @@ def test_cutoff_stop_returns_a_certificate_above_the_cutoff(kind, data):
     # the first checked iterate whose bound passes the cutoff ends the solve
     first, bound_there, x_there = next(c for c in checks if c[1] > cutoff)
     report, bound = qc.solve_convex(rel, x0, tol=tol, max_iter=CUT_MAX_ITER, cutoff=cutoff)
-    assert report.cutoff_stop and not report.converged
+    assert report.stop == "cutoff"
     assert bound > cutoff
     assert bound == qc.certified_lower_bound(rel, report.x) == bound_there
     assert report.iterations == first <= full.iterations
@@ -293,7 +322,7 @@ def test_cutoff_that_never_passes_leaves_the_solve_unchanged(kind, data):
     full, checks = checkpoint_bounds(rel, x0, tol)
     plain, plain_bound = qc.solve_convex(rel, x0, tol=tol, max_iter=CUT_MAX_ITER)
     assert plain_bound == qc.certified_lower_bound(rel, plain.x)
-    assert not plain.cutoff_stop
+    assert plain.stop != "cutoff"
     cutoffs = [None, np.inf] + ([max(c[1] for c in checks)] if checks else [])
     for cutoff in cutoffs:
         report, bound = qc.solve_convex(rel, x0, tol=tol, max_iter=CUT_MAX_ITER, cutoff=cutoff)
