@@ -31,7 +31,7 @@ from .graph import (
     load_graph,
     save_edge_list,
 )
-from .optimality import check_strict, descent_direction
+from .optimality import check_local_min, descent_direction
 from .oracle import brute_force
 from .qp import make_qp
 
@@ -152,7 +152,7 @@ def cmd_check(args, graph: WeightedGraph, spec: PartitionSpec):
         raise ValueError(f"point file holds a {x.shape[0]}x{x.shape[1]} table, "
                          f"expected one row or one column of {graph.n} values")
     x = x.ravel()
-    assessment = check_strict(qp, x)
+    assessment = check_local_min(qp, x)
     move = descent_direction(qp, x, assessment)
     report = {
         "command": "check",

@@ -91,7 +91,11 @@ class PartitionSpec:
     u: int
 
     def __post_init__(self):
-        if int(self.l) != self.l or int(self.u) != self.u:
+        try:
+            integral = int(self.l) == self.l and int(self.u) == self.u
+        except (OverflowError, ValueError):  # int() of an infinite or NaN bound
+            integral = False
+        if not integral:
             raise ValueError("l and u must be integers")
         object.__setattr__(self, "l", int(self.l))
         object.__setattr__(self, "u", int(self.u))

@@ -93,6 +93,26 @@ def test_check_on_oracle_optimum(tmp_path, capsys):
     assert rep["p1"] and rep["local_min"]
 
 
+def test_check_reports_a_descent_step_that_lowers_the_value(tmp_path, capsys):
+    # the all-halves point is stationary, but a fractional pair has a slack
+    # pair condition, so the report carries a strictly descending step
+    ppath = tmp_path / "x.txt"
+    ppath.write_text("0.5\n" * 8)
+    code, rep = run_cli(
+        capsys, "check", "--gen", "random:8x0.5", "--seed", "1", "--bisection",
+        "--point", str(ppath),
+    )
+    assert code == 0
+    assert rep["p1"] and not rep["local_min"] and rep["strict"] is False
+    assert rep["witness"] == ["p2", 0, 2]
+    move = rep["descent_direction"]
+    assert move["alpha_max"] == 0.5
+    qp = qc.make_qp(qc.gen_random(8, 0.5, seed=1), qc.PartitionSpec(4, 4))
+    x = np.full(8, 0.5) + move["alpha_max"] * np.array(move["direction"])
+    assert qp.fset.contains(x)
+    assert qp.value(x) < rep["value"]
+
+
 def test_oracle_command(capsys):
     code, rep = run_cli(capsys, "oracle", "--gen", "planar:3x3", "--seed", "4", "--l", "4", "--u", "5")
     assert code == 0
@@ -186,6 +206,9 @@ def test_solve_rejects_bad_limits(capsys, flags):
         # 8 values, but as a 2x4 table; an empty file (numpy would warn first)
         ["check", "--gen", "random:8x0.5", "--bisection", "--point", "{table}"],
         ["check", "--gen", "random:8x0.5", "--bisection", "--point", "{empty}"],
+        # eight 1s for a bisection of 8; a NaN coordinate
+        ["check", "--gen", "random:8x0.5", "--bisection", "--point", "{ones}"],
+        ["check", "--gen", "random:8x0.5", "--bisection", "--point", "{nan}"],
         ["solve", "--gen", "random:8x0.5", "--bisection", "--bound", "foo"],
         ["solve", "--gen", "random:8x0.5", "--bisection", "--max-nodes", "abc"],
         ["solve", "--gen", "random:8x0.5", "--bisection", "--tol", "1e-4"],  # no such flag
@@ -200,7 +223,7 @@ def test_solve_rejects_bad_limits(capsys, flags):
         ["solve", "--gen", "random:6x0.5", "--bisection", "--seed", "-3"],
     ],
     ids=["no-input", "bad-gen", "unknown-gen", "no-budget", "short-point", "table-point",
-         "empty-point", "bad-bound",
+         "empty-point", "infeasible-point", "nan-point", "bad-bound",
          "bad-max-nodes", "solve-tol", "bound-tol", "unwritable-json", "huge-gen",
          "huge-input", "bisection-and-l", "negative-seed"],
 )
@@ -211,9 +234,14 @@ def test_bad_input_prints_error_and_exits_1(tmp_path, capsys, argv):
     table.write_text("0 1 0 1\n1 0 1 0\n")
     empty = tmp_path / "empty.txt"
     empty.write_text("")
+    ones = tmp_path / "ones.txt"
+    ones.write_text("1\n" * 8)
+    nan = tmp_path / "nan.txt"
+    nan.write_text("0.5\n" * 7 + "nan\n")
     huge = tmp_path / "huge.el"
     huge.write_text("100000000 0\n")
-    paths = dict(short=short, table=table, empty=empty, huge=huge, tmp=tmp_path)
+    paths = dict(short=short, table=table, empty=empty, ones=ones, nan=nan, huge=huge,
+                 tmp=tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would reach stderr ahead of error:
         assert main([a.format(**paths) for a in argv]) == 1
@@ -221,5 +249,7 @@ def test_bad_input_prints_error_and_exits_1(tmp_path, capsys, argv):
     assert captured.err.startswith("error:") and captured.out == ""
     if "{table}" in argv:  # the message names the shape, not a count that matches
         assert "2x4" in captured.err
+    if "{ones}" in argv or "{nan}" in argv:
+        assert captured.err == "error: point is infeasible\n"
     if "--seed" in argv:  # the seed is at fault, not the --gen spec
         assert "--seed" in captured.err and "--gen" not in captured.err

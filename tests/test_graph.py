@@ -225,6 +225,16 @@ def test_weighted_graph_rejects_bad_matrices():
             qc.WeightedGraph(np.array([[0.0, bad], [bad, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "l, u",
+    [(1.5, 2), (0, 2.5), (0, float("inf")), (float("-inf"), 2), (0, float("nan")),
+     (float("nan"), 2)],
+)
+def test_partition_spec_rejects_non_integer_bounds(l, u):
+    with pytest.raises(ValueError, match="l and u must be integers"):
+        qc.PartitionSpec(l, u)
+
+
 GENERATOR_SHA256 = {
     ("toroidal", 2, 5, 1): "80735cf57b78c8772b9cf79bf30a0850103f0ef13006e29608c90399708d390d",
     ("toroidal", 2, 5, 2): "0de44c38c59210100a2fc3e69d35c4af359a742202acd8f729ba9e78bb7f1401",

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -154,7 +156,7 @@ def test_strict_flags():
     # P3 with l=u=1: (1,0,0) is optimal; the tied optimum (0,0,1) makes it
     # non-strict is not forced here, check the machinery on two cases instead
     qp = qc.make_qp(path_graph(3), qc.PartitionSpec(1, 1))
-    a = qc.check_strict(qp, np.array([1.0, 0.0, 0.0]))
+    a = qc.check_local_min(qp, np.array([1.0, 0.0, 0.0]))
     assert a.c1 is True
     assert a.local_min
 
@@ -162,7 +164,7 @@ def test_strict_flags():
     # zero-curvature pair move, so the local minimum is not strict
     g = complete_graph(2)
     qp2 = qc.make_qp(g, qc.PartitionSpec(1, 1))
-    a2 = qc.check_strict(qp2, np.array([1.0, 0.0]))
+    a2 = qc.check_local_min(qp2, np.array([1.0, 0.0]))
     assert a2.local_min
     assert a2.strict is False
 
@@ -172,7 +174,7 @@ def test_strict_flags():
     spec3 = qc.PartitionSpec(1, 2)
     opt, x3 = qc.brute_force(g3, spec3)
     qp3 = qc.make_qp(g3, spec3)
-    a3 = qc.check_strict(qp3, x3)
+    a3 = qc.check_local_min(qp3, x3)
     assert a3.local_min
     assert a3.strict is True
 
@@ -180,7 +182,7 @@ def test_strict_flags():
 def test_strict_c1_false_with_fractional_coordinate():
     g = complete_graph(2)
     qp = qc.make_qp(g, qc.PartitionSpec(1, 1))
-    a = qc.check_strict(qp, np.array([0.5, 0.5]))
+    a = qc.check_local_min(qp, np.array([0.5, 0.5]))
     assert a.c1 is False
     assert a.strict is False
 
@@ -193,3 +195,59 @@ def test_mu_identity():
         x = random_feasible(qp, rng)
         lam, mu = qc.multipliers(qp, x)
         assert np.allclose(mu, qp.grad(x) + lam, atol=0.0)
+
+
+# SHA-256 of every field the classification reports, descent direction
+# included, over the points of _pinned_points (exact float reprs).  The
+# points come from project, round_to_binary and descend_nonconvex, so a
+# change to their iterates moves the digest as well.
+CLASSIFICATION_SHA256 = "0812f43ad740edbd7bf35d12da9a7b55a79f19b92c5f554a7e3aa5a2d7928a20"
+
+
+def _pinned_points():
+    """Seeded (problem, point) pairs: signed, unsigned and unit weights under
+    equality, slack and open windows; random feasible, rounded, snapped,
+    random binary, all-halves and descended points."""
+    rng = np.random.default_rng(14)
+    for seed in range(150):
+        n = int(rng.integers(3, 10))
+        low, high = ((1, 9), (-3, 9), (1, 1))[seed % 3]
+        g = random_graph(n, float(rng.uniform(0.3, 1.0)), seed, low=low, high=high)
+        k = n // 2
+        spec = (
+            qc.PartitionSpec(k, k),
+            qc.PartitionSpec(max(0, k - 1), min(n, k + 1)),
+            qc.PartitionSpec(0, n),
+        )[seed % 4 % 3]
+        qp = qc.make_qp(g, spec)
+        points = [np.full(n, 0.5)] if spec.l <= n / 2 <= spec.u else []
+        for _ in range(5):
+            y = random_feasible(qp, rng)
+            points += [y, qc.round_to_binary(qp, y)]
+        snapped = np.where(y < 0.3, 0.0, np.where(y > 0.7, 1.0, y))
+        if qp.fset.contains(snapped, tol=1e-7):
+            points.append(snapped)
+        binary = np.zeros(n)
+        binary[rng.permutation(n)[: int(rng.integers(spec.l, spec.u + 1))]] = 1.0
+        points.append(binary)
+        for _ in range(2):
+            rep = qc.descend_nonconvex(qc.reduce(qp, ()), random_feasible(qp, rng), tol=1e-8)
+            points += [rep.x, qc.round_to_binary(qp, rep.x)]
+        for x in points:
+            yield qp, x
+
+
+def test_classification_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for qp, x in _pinned_points():
+        a = qc.check_local_min(qp, x)
+        move = qc.descent_direction(qp, x, a)
+        fields = (a.lam, a.p1, a.p2, a.p3, a.p4, a.local_min, a.witness,
+                  a.c1, a.c2, a.c3, a.strict)
+        if move is not None:
+            fields += (move[0].tolist(), move[1])
+        digest.update(repr(fields).encode())
+        count += 1
+    assert count >= 2000
+    assert digest.hexdigest() == CLASSIFICATION_SHA256
