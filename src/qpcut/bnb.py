@@ -83,7 +83,6 @@ class Solution:
     # certified lower bound on the optimum at exit: value when optimal, else
     # the smallest bound still open (up to the EPS prune slack, as for value)
     lower_bound: float = float("-inf")
-    best_x: np.ndarray | None = None
     # every relaxation stopped as 'converged' or 'cutoff'; false when one
     # stopped at its iteration cap or at the rounding floor first
     all_relaxations_converged: bool = True
@@ -196,10 +195,10 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
     # best-first: no open subtree holds anything below the smallest open bound
     lower_bound = best_val if status == "optimal" else min(heap[0][0], best_val)
     label, free, y = best
-    best_x = np.empty(qp.n)
-    best_x[order[: len(label)]] = label
-    best_x[free] = y
-    v0, v1 = partition_from_binary(best_x)
+    side = np.empty(qp.n)
+    side[order[: len(label)]] = label
+    side[free] = y
+    v0, v1 = partition_from_binary(side)
     return Solution(
         v0=v0,
         v1=v1,
@@ -212,7 +211,6 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
         wall_time=time.perf_counter() - t_start,
         root_bound=node_bounds[0][1],
         lower_bound=float(lower_bound),
-        best_x=best_x,
         all_relaxations_converged=all_converged,
         shift=shift,
     )

@@ -42,15 +42,14 @@ __all__ = [
 class DcShift:
     """Certified diagonal shift making f(x) + x^T Diag(lam) x convex.
 
-    kind 'eig' stores a constant shift (lam = sigma * ones); kind 'sdp'
-    stores the trace-minimized diagonal.  psd_tol is the tolerance shift at
-    which Diag(lam) - M passed Cholesky (0.0 means it factored exactly).
-    warning is set when the SDP barrier method stalled and the returned
-    shift comes from repairing its last iterate (still certified).
+    sigma_shift returns a constant lam, sdp_shift the trace-minimized
+    diagonal.  psd_tol is the tolerance shift at which Diag(lam) - M passed
+    Cholesky (0.0 means it factored exactly).  warning is set when the SDP
+    barrier method stalled and the returned shift comes from repairing its
+    last iterate (still certified).
     """
 
     lam: np.ndarray
-    kind: str
     psd_tol: float
     warning: bool = False
 
@@ -58,20 +57,6 @@ class DcShift:
         lam = np.array(self.lam, dtype=float)
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
-
-    @property
-    def sigma(self) -> float:
-        if self.kind != "eig":
-            raise AttributeError("sigma is only defined for the scalar ('eig') shift")
-        return float(self.lam[0]) if self.lam.size else 0.0
-
-    def restrict(self, idx) -> np.ndarray:
-        """Shift restricted to a coordinate subset.
-
-        A principal submatrix of a PSD matrix is PSD, so the restriction is
-        certified by the same tolerance as the full shift.
-        """
-        return self.lam[np.asarray(idx, dtype=int)]
 
 
 # ----------------------------------------------------------------------------
@@ -110,7 +95,7 @@ def _psd_certificate(s: np.ndarray, scale: float):
     return None
 
 
-def _certified(m: np.ndarray, lam: np.ndarray, kind: str, warning: bool = False) -> DcShift:
+def _certified(m: np.ndarray, lam: np.ndarray, warning: bool = False) -> DcShift:
     """Certify Diag(lam) - M as PSD, repairing lam first; the tail of both shifts.
 
     lam is lifted uniformly by the most negative eigenvalue of Diag(lam) - M
@@ -131,7 +116,7 @@ def _certified(m: np.ndarray, lam: np.ndarray, kind: str, warning: bool = False)
             raise ValueError("the diagonal shift is not finite: matrix entries too large")
         tol = _psd_certificate(np.diag(lam) - m, scale)
         if tol is not None:
-            return DcShift(lam=lam, kind=kind, psd_tol=tol, warning=warning)
+            return DcShift(lam=lam, psd_tol=tol, warning=warning)
         lam = lam + 1e-8 * scale
     raise RuntimeError("could not certify the diagonal shift")  # pragma: no cover
 
@@ -145,7 +130,7 @@ def sigma_shift(m) -> DcShift:
     raises ValueError.
     """
     m = _check_sym(m)
-    return _certified(m, np.zeros(m.shape[0]), "eig")
+    return _certified(m, np.zeros(m.shape[0]))
 
 
 def _center(m, lam, t, barrier_pos):
@@ -203,7 +188,7 @@ def sdp_shift(m) -> DcShift:
     m = _check_sym(m)
     n = m.shape[0]
     if n == 0:
-        return DcShift(lam=np.zeros(0), kind="sdp", psd_tol=0.0)
+        return DcShift(lam=np.zeros(0), psd_tol=0.0)
     rowsum = float(np.abs(m).sum(axis=1).max())
     scale = max(1.0, rowsum)
     gap_tol = min(1e-7 * scale, 5e-7)
@@ -219,7 +204,7 @@ def sdp_shift(m) -> DcShift:
             warning = False
             break
         t *= 10.0
-    return _certified(m, lam, "sdp", warning)
+    return _certified(m, lam, warning)
 
 
 # ----------------------------------------------------------------------------
@@ -264,7 +249,7 @@ def build_relaxation(reduced: ReducedQp, shift: DcShift) -> ReducedQp:
     at the final point, so a loosely converged solve costs tightness, never
     soundness.
     """
-    lam = shift.restrict(reduced.free)
+    lam = shift.lam[reduced.free]
     slope, offset = affine_underestimate(lam, reduced.fset)
     return ReducedQp(
         free=reduced.free, M=reduced.M, lin=reduced.lin + slope,

@@ -20,7 +20,7 @@ levels), and c3 (zero-gradient coordinates pinned by an active budget bound).
 
 `_point` converts the point, tests its feasibility, computes its gradient
 and sets its budget flags once; `check_local_min` reads p1-p4 and c1-c3 from
-that one pass, and `multipliers` and `check_first_order` reuse its parts.
+that one pass.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KktAssessment", "multipliers", "check_first_order", "check_local_min",
-           "descent_direction"]
+__all__ = ["KktAssessment", "check_local_min", "descent_direction"]
 
 X_TOL = 1e-7
 
@@ -65,8 +64,11 @@ def _scale_tol(problem) -> float:
 
 
 def _fit_lam(x, g, at_lo, at_hi) -> float:
-    # past the first test a bound is active; one active alone fixes the sign
-    # of lam, >= 0 at hi and <= 0 at lo
+    """Budget multiplier lam (box multipliers mu = g + lam): 0 with the budget
+    inside the window, else the least KKT violation, the mean of -g over the
+    fractional coordinates or, with none, the midpoint of [max of -g_i at 0,
+    min of -g_i at 1], clipped to the sign an active bound allows (>= 0 at hi,
+    <= 0 at lo)."""
     if not (at_lo or at_hi):
         return 0.0
     frac = (x > X_TOL) & (x < 1.0 - X_TOL)
@@ -94,30 +96,6 @@ def _first_order(x, lam, mu, at_lo, at_hi, tol) -> bool:
     )
 
 
-def multipliers(problem, x):
-    """Fit the budget multiplier lam and return (lam, mu = grad + lam).
-
-    With the budget strictly inside the window, complementary slackness
-    forces lam = 0.  On an active bound, lam is chosen to minimize the KKT
-    violation: the mean of -grad over the fractional coordinates when any
-    exist, otherwise the midpoint of the interval
-    [max over x_i = 0 of -grad_i, min over x_i = 1 of -grad_i], clipped to
-    the sign the active bound allows.  Raises ValueError if x is infeasible.
-    """
-    x, g, at_lo, at_hi = _point(problem, x)
-    lam = _fit_lam(x, g, at_lo, at_hi)
-    return lam, g + lam
-
-
-def check_first_order(problem, x, lam, mu) -> bool:
-    """KKT test: sign of mu pins the coordinate, sign of lam the budget; False if infeasible."""
-    try:
-        x, _, at_lo, at_hi = _point(problem, x)
-    except ValueError:
-        return False
-    return _first_order(x, lam, np.asarray(mu, dtype=float), at_lo, at_hi, _scale_tol(problem))
-
-
 def check_local_min(problem, x) -> KktAssessment:
     """Classify a feasible point by p1-p4 and c1-c3 in one pass.
 
@@ -126,7 +104,7 @@ def check_local_min(problem, x) -> KktAssessment:
     is infeasible."""
     x, g, at_lo, at_hi = _point(problem, x)
     tol = _scale_tol(problem)
-    lam = _fit_lam(x, g, at_lo, at_hi)
+    lam = _fit_lam(x, g, at_lo, at_hi) + 0.0  # -0.0 (from -mean(0), say) reads as +0.0
     mu = g + lam
     q = problem.M
     d = np.diag(q)

@@ -25,6 +25,10 @@ def brute_force(graph: WeightedGraph, spec: PartitionSpec):
         raise ValueError(f"brute force is guarded to n <= {MAX_N}, got n = {n}")
     spec.validate_for(n)
     a = graph.weights
+    with np.errstate(over="ignore"):
+        total = np.abs(a).sum()
+    if not np.isfinite(total):  # a finite total bounds every sum formed below
+        raise ValueError("sum of |w_ij| is not finite: the weights are too large to add up")
     rowsum = a.sum(axis=1)
     bitpos = np.arange(n, dtype=np.int64)
 

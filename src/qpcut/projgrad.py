@@ -105,29 +105,16 @@ def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
         # linear on [bps[k], bps[k + 1]], where nfree[k] > 0 since the drop grows there
         theta = bps[k] + (need - (dropped[k - 1] if k else 0.0)) / nfree[k]
 
-    # Exact-sum polish.  When |x| is huge the root above carries an absolute
-    # error of |x| * eps, which would leak into the budget; a few Newton steps
-    # on theta (the slope is minus the free count) restore it while some
-    # coordinate is free.
+    y = np.minimum(np.maximum(x - theta, p), q)
+    # Exact-sum step.  The root above meets the tolerance unless |x| is huge:
+    # then x - theta carries an absolute error of |x| * eps per coordinate,
+    # and one ulp of theta moves the sum by about as much, so no theta is
+    # exact.  The residual is distributed over the free coordinates in
+    # y-space instead, where full precision is available.  When theta sits
+    # on a breakpoint with every coordinate on a bound, the residual is below
+    # the precision of x itself, and the coordinates that can move toward the
+    # target absorb it (some can: sum(p) <= target <= sum(q)).
     tol = 1e-12 * max(1.0, abs(target))
-    for _ in range(5):
-        y = np.minimum(np.maximum(x - theta, p), q)
-        err = float(np.add.reduce(y)) - target
-        if abs(err) <= tol:
-            return y
-        free = np.count_nonzero((y > p) & (y < q))
-        if free == 0:
-            break
-        theta += err / free
-    else:
-        y = np.minimum(np.maximum(x - theta, p), q)
-    # Past that, one ulp of theta already moves the sum by more than the
-    # tolerance, so no representable theta is exact; distribute the residual
-    # over the free coordinates in y-space instead, where full precision is
-    # available.  When theta sits on a breakpoint with every coordinate on a
-    # bound, the residual is below the precision of x itself, and the
-    # coordinates that can move toward the target absorb it (some can:
-    # sum(p) <= target <= sum(q)).
     for _ in range(4):
         err = float(np.add.reduce(y)) - target
         if abs(err) <= tol:

@@ -177,7 +177,9 @@ def make_qp(graph: WeightedGraph, spec: PartitionSpec) -> ReducedQp:
     spec.validate_for(graph.n)
     m = graph.weights + np.diag(build_diagonal_shift(graph))
     # integer cut sums stay exact in floating point only below 2**53
-    if not np.abs(m).sum() < 2.0**53:
+    with np.errstate(over="ignore"):  # an overflowing sum fails the test as inf
+        total = np.abs(m).sum()
+    if not total < 2.0**53:
         raise ValueError("sum of |M_ij| must be below 2**53 for exact cut values")
     lin = m.sum(axis=1)
     m.setflags(write=False)

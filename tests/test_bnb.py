@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,13 @@ from qpcut.bnb import EPS, BnbConfig, upper_bound_from
 from helpers import (
     complete_graph, cut_instances, label_key, path_graph, random_graph, subtree_minima,
 )
+
+
+def side_of(sol, n):
+    """The binary side vector of a solution: 1 on V1."""
+    side = np.zeros(n)
+    side[sol.v1] = 1.0
+    return side
 
 
 def test_order_vertices():
@@ -83,7 +91,7 @@ def test_solver_matches_oracle_random_battery():
                 assert sol.value == opt, (seed, n, dens, bound)
                 assert len(sol.v1) + len(sol.v0) == n
                 assert spec.l <= len(sol.v1) <= spec.u
-                assert qc.cut_weight(g, sol.best_x) == opt
+                assert qc.cut_weight(g, side_of(sol, n)) == opt
 
 
 def test_negative_weights_supported():
@@ -224,6 +232,36 @@ def test_degenerate_sizes():
     assert soln.value == 0.0 and soln.v0 == []
 
 
+@pytest.mark.parametrize("n, dens, seed, l, u, nodes, infeasible", [
+    (7, 0.6, 1, 3, 3, 181, 56),
+    (8, 0.6, 2, 2, 5, 491, 36),
+])
+def test_expanding_every_node_skips_infeasible_children(
+        monkeypatch, n, dens, seed, l, u, nodes, infeasible):
+    # under the real prune rule no infeasible child is ever made: a node whose
+    # window leaves one completion has bound equal to its candidate's value,
+    # so it is never pushed.  With no pruning every non-leaf node is expanded,
+    # and the children past the window's edge must be skipped
+    raised = []
+
+    def counting_reduce(*args):
+        try:
+            return qc.reduce(*args)
+        except qc.InfeasibleSubproblemError:
+            raised.append(args[1])
+            raise
+
+    monkeypatch.setattr(qc.bnb, "prune_threshold", lambda upper, integral: math.inf)
+    monkeypatch.setattr(qc.bnb, "reduce", counting_reduce)
+    g = qc.gen_random(n, dens, seed)
+    spec = qc.PartitionSpec(l, u)
+    sol = qc.solve(g, spec)
+    assert sol.status == "optimal"
+    assert sol.value == qc.brute_force(g, spec)[0]
+    assert sol.node_count == nodes
+    assert len(raised) == infeasible
+
+
 def test_eig_variant_on_small_graph():
     g = path_graph(5)
     spec = qc.PartitionSpec(2, 3)
@@ -243,12 +281,12 @@ def test_bound_first_search_is_exact_and_sound(bound, case):
     sol = qc.solve(g, spec, BnbConfig(bound=bound))
     assert sol.status == "optimal"
     # candidates are valued on their subproblem, which holds the fixed part exactly
-    cut = qc.cut_weight(g, sol.best_x)
+    cut = qc.cut_weight(g, side_of(sol, g.n))
     if g.is_integral:
         assert sol.value == cut
     else:
         assert abs(sol.value - cut) <= EPS
-    assert sol.v1 == np.flatnonzero(sol.best_x).tolist()
+    assert sorted(sol.v0 + sol.v1) == list(range(g.n))
     if g.is_integral:
         assert sol.value == opt
     else:

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -105,6 +106,8 @@ def test_check_reports_a_descent_step_that_lowers_the_value(tmp_path, capsys):
     assert code == 0
     assert rep["p1"] and not rep["local_min"] and rep["strict"] is False
     assert rep["witness"] == ["p2", 0, 2]
+    # the gradient is zero, and -mean(0) is -0.0: the report must not carry its sign
+    assert rep["lambda"] == 0.0 and math.copysign(1.0, rep["lambda"]) == 1.0
     move = rep["descent_direction"]
     assert move["alpha_max"] == 0.5
     qp = qc.make_qp(qc.gen_random(8, 0.5, seed=1), qc.PartitionSpec(4, 4))
@@ -221,11 +224,17 @@ def test_solve_rejects_bad_limits(capsys, flags):
         ["solve", "--input", "{huge}", "--l", "1", "--u", "1"],
         ["solve", "--gen", "random:8x0.5", "--bisection", "--l", "1"],  # two budgets
         ["solve", "--gen", "random:6x0.5", "--bisection", "--seed", "-3"],
+        # two weight-1e308 edges: the sum of |M_ij| overflows to inf
+        ["solve", "--input", "{overflow}", "--l", "1", "--u", "2"],
+        ["bound", "--input", "{overflow}", "--l", "1", "--u", "2"],
+        ["check", "--input", "{overflow}", "--l", "1", "--u", "2", "--point", "{short}"],
+        ["oracle", "--input", "{overflow}", "--l", "1", "--u", "2"],
     ],
     ids=["no-input", "bad-gen", "unknown-gen", "no-budget", "short-point", "table-point",
          "empty-point", "infeasible-point", "nan-point", "bad-bound",
          "bad-max-nodes", "solve-tol", "bound-tol", "unwritable-json", "huge-gen",
-         "huge-input", "bisection-and-l", "negative-seed"],
+         "huge-input", "bisection-and-l", "negative-seed", "overflow-solve",
+         "overflow-bound", "overflow-check", "overflow-oracle"],
 )
 def test_bad_input_prints_error_and_exits_1(tmp_path, capsys, argv):
     short = tmp_path / "x.txt"
@@ -240,8 +249,10 @@ def test_bad_input_prints_error_and_exits_1(tmp_path, capsys, argv):
     nan.write_text("0.5\n" * 7 + "nan\n")
     huge = tmp_path / "huge.el"
     huge.write_text("100000000 0\n")
+    overflow = tmp_path / "overflow.el"
+    overflow.write_text("3 2\n1 2 1e308\n2 3 1e308\n")
     paths = dict(short=short, table=table, empty=empty, ones=ones, nan=nan, huge=huge,
-                 tmp=tmp_path)
+                 overflow=overflow, tmp=tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would reach stderr ahead of error:
         assert main([a.format(**paths) for a in argv]) == 1
@@ -253,3 +264,5 @@ def test_bad_input_prints_error_and_exits_1(tmp_path, capsys, argv):
         assert captured.err == "error: point is infeasible\n"
     if "--seed" in argv:  # the seed is at fault, not the --gen spec
         assert "--seed" in captured.err and "--gen" not in captured.err
+    if "{overflow}" in argv:  # the weights are at fault, not the budget window
+        assert "not finite" in captured.err or "2**53" in captured.err
