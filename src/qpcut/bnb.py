@@ -179,7 +179,8 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
 
         if not heap:
             break
-        if config.max_nodes is not None and node_count >= config.max_nodes:
+        # an expansion counts two children, so stop before one that would pass max_nodes
+        if config.max_nodes is not None and node_count + 2 > config.max_nodes:
             status = "node_limit"
             break
         if config.time_limit is not None and time.perf_counter() - t_start > config.time_limit:

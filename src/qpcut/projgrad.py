@@ -8,12 +8,12 @@ safeguarded Barzilai-Borwein steplength and t* minimizes the quadratic
 exactly on the segment (best endpoint when the segment quadratic is
 concave).  The stopping rule is the unit-step projected-gradient residual
 ||P(x - g) - x|| <= tol, or the iteration cap; the defaults below are the
-ones branch and bound uses.  Each pass projects once for the step and
-computes the residual only when the step cannot rule it out: for x in a
-convex set, ||P(x - alpha g) - x|| is nondecreasing in alpha and
-||P(x - alpha g) - x|| / alpha nonincreasing (Calamai & More 1987,
-Math. Programming 39, Lemma 2.2), so the residual is at least
-min(1, 1/alpha) ||P(x - alpha g) - x||.  A relaxation solve given a
+ones branch and bound uses.  Each pass takes the exact gradient at its
+iterate, projects once for the step and computes the residual only when
+the step cannot rule it out: for x in a convex set, ||P(x - alpha g) - x||
+is nondecreasing in alpha and ||P(x - alpha g) - x|| / alpha nonincreasing
+(Calamai & More 1987, Math. Programming 39, Lemma 2.2), so the residual is
+at least min(1, 1/alpha) ||P(x - alpha g) - x||.  A relaxation solve given a
 cutoff also stops as soon as its certified lower bound, checked at
 iterations 0, 1, 2, 4, 8, ..., is above the cutoff: branch and bound then
 prunes the node, and more iterations could not change that.
@@ -127,24 +127,13 @@ def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
     return y
 
 
-def _residual(x, g, fset: FeasibleSet) -> float:
-    """The unit-step projected-gradient residual ||P(x - g) - x||."""
-    r = project(x - g, fset) - x
-    return math.sqrt(r @ r)
-
-
 def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     """Gradient projection on a quadratic problem from x0; returns (report, bound).
 
     The Hessian of const + lin . x - x^T (M - Diag(lam)) x is -2 times
-    problem.matvec.  The gradient is evaluated once at x0 and then carried
-    along exactly as g + t * Hd, so each step costs one matrix-vector
-    product, which also gives the segment curvature d^T H d and the
+    problem.matvec.  Each step evaluates the gradient at the new iterate and
+    forms one product Hd, which gives the segment curvature d^T H d and the
     Barzilai-Borwein step d^T d / d^T H d.
-    Rounding in the carried gradient can only affect the iterates, never a
-    certified bound (certified_lower_bound recomputes the exact gradient at
-    its point) nor a converged report: a carried residual within tol is
-    checked again at the exact gradient, which the loop then carries on.
 
     Each pass projects for the step d = P(x - alpha g) - x first.  By the
     lemma in the module docstring the residual is at least
@@ -175,15 +164,8 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
         dd = float(d @ d)
         scale = min(1.0, 1.0 / alpha)
         if dd * scale * scale <= 4.0 * tol * tol:  # else residual >= 2 tol: skip it
-            residual = _residual(x, g, fset)
-            if residual <= tol and iterations:
-                # confirm at the exact gradient, which the carried one may have drifted from
-                g = problem.grad(x)
-                residual = _residual(x, g, fset)
-                if residual > tol:  # step from the exact gradient, too
-                    d = project(x - alpha * g, fset) - x
-                    dd = float(d @ d)
-            if residual <= tol:
+            r = project(x - g, fset) - x
+            if math.sqrt(r @ r) <= tol:
                 stop = "converged"
                 break
         if cutoff is not None and not iterations & (iterations - 1):
@@ -213,7 +195,7 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
             stop = "floor"  # no descent left in floating point
             break
         x = x + t * d
-        g = g + t * hd
+        g = problem.grad(x)
         # BB step s.s / s.y with s = t d and y = t Hd
         alpha = dd / b if t * t * b > 1e-30 else ALPHA_MAX
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)

@@ -162,12 +162,7 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
     bound = None
     for iterations in range(max_iter + 1):
         r = project(x - g, fset) - x
-        residual = math.sqrt(r @ r)
-        if residual <= tol and iterations:
-            g = problem.grad(x)
-            r = project(x - g, fset) - x
-            residual = math.sqrt(r @ r)
-        if residual <= tol:
+        if math.sqrt(r @ r) <= tol:
             stop = "converged"
             break
         if cutoff is not None and not iterations & (iterations - 1):
@@ -197,7 +192,7 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
             stop = "floor"
             break
         x = x + t * d
-        g = g + t * hd
+        g = problem.grad(x)
         alpha = float(d @ d) / b if t * t * b > 1e-30 else ALPHA_MAX
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
     return qc.SolveReport(x=x, iterations=iterations, stop=stop), bound

@@ -219,6 +219,18 @@ def test_node_limit_and_time_limit_statuses():
     assert sol2.status == "time_limit"
 
 
+@pytest.mark.parametrize("max_nodes", range(1, 7))
+def test_node_limit_never_counts_more_than_max_nodes(max_nodes):
+    # each expansion counts two children, so an even limit must stop one short
+    g = qc.gen_mixed(3, 4, seed=1)
+    spec = qc.PartitionSpec(6, 6)
+    opt, _ = qc.brute_force(g, spec)
+    sol = qc.solve(g, spec, BnbConfig(max_nodes=max_nodes))
+    assert sol.status == "node_limit"
+    assert sol.node_count <= max_nodes
+    assert sol.root_bound <= sol.lower_bound <= opt <= sol.value
+
+
 def test_degenerate_sizes():
     one = qc.WeightedGraph(np.zeros((1, 1)))
     sol = qc.solve(one, qc.PartitionSpec(0, 1))

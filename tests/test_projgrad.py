@@ -148,16 +148,16 @@ def seeded_qp(seed):
     return qc.make_qp(g, qc.PartitionSpec(lo, int(rng.integers(lo, n + 1))))
 
 
-def _carried_gradient_cases():
+def _stationarity_cases():
     for seed in range(8):
         yield pytest.param(seed, None, id=str(seed))
-    # the carried residual passed 1e-12 at 9.79e-13 while the exact one was
-    # 1.016e-12: sigma_shift, label (1,) in branching order, window [4, 13]
+    # converges at tol 1e-12 with an exact residual of 9.8e-13, within 2% of
+    # tol: sigma_shift, label (1,) in branching order, window [4, 13]
     yield pytest.param(7, (13, 0.7, 4, 13), id="n13-window-4-13-ordered")
 
 
-def carried_gradient_qp(seed, case):
-    """The root problem of a _carried_gradient_cases entry, and its order."""
+def stationarity_case_qp(seed, case):
+    """The root problem of a _stationarity_cases entry, and its order."""
     if case is None:
         return seeded_qp(seed), None
     n, density, lo, hi = case
@@ -165,11 +165,11 @@ def carried_gradient_qp(seed, case):
     return qc.make_qp(g, qc.PartitionSpec(lo, hi)), qc.order_vertices(g)
 
 
-@pytest.mark.parametrize("seed, case", _carried_gradient_cases())
+@pytest.mark.parametrize("seed, case", _stationarity_cases())
 def test_carried_gradient_cannot_fake_convergence(seed, case):
-    # the loop updates g <- g + t Hd instead of re-evaluating the gradient; a
-    # converged report must still be stationary to tol at the exact gradient
-    qp, order = carried_gradient_qp(seed, case)
+    # a converged report is stationary to tol at the exact gradient, for
+    # relaxations and descents, down to tol 1e-12
+    qp, order = stationarity_case_qp(seed, case)
     checked = 0
     for shift in (qc.sdp_shift(qp.M), qc.sigma_shift(qp.M)):
         for label in ((), (1,), (0, 1)):
@@ -192,12 +192,12 @@ def test_carried_gradient_cannot_fake_convergence(seed, case):
 def test_relaxations_below_the_default_tol_stop_at_a_rounding_floor(tol, max_capped):
     # On the 48 relaxations of seeds 0-7 (both shifts, labels (), (1,), (0, 1))
     # every solve converges at the default tol.  Below it, an unconverged solve
-    # almost never runs to the cap: at 1e-8, 22 of 23 stop after 11-280
-    # iterations (at 1e-12, 27 of 30 after 11-581) because the projected step
+    # almost never runs to the cap: at 1e-8, 20 of 21 stop after 11-276
+    # iterations (at 1e-12, 27 of 30 after 11-589) because the projected step
     # is no longer a descent direction in floating point (g.d >= 0, so the
     # exact segment search returns t = 0), and report stop == "floor".  Their
-    # exact residuals are at most 6.5e-7, and a fresh start from the stop point
-    # lowers f by at most 5.9e-15 relative: a rounding floor, not cycling or
+    # exact residuals are at most 6.7e-7, and a fresh start from the stop point
+    # lowers f by at most 1.3e-15 relative: a rounding floor, not cycling or
     # slow convergence.
     capped = 0
     for seed in range(8):
@@ -387,11 +387,11 @@ def test_residual_skip_is_bit_identical_to_the_two_projection_loop(kind, data):
     assert_matches_reference(red, rel, x0, tol, max_iter)
 
 
-@pytest.mark.parametrize("seed, case", _carried_gradient_cases())
+@pytest.mark.parametrize("seed, case", _stationarity_cases())
 def test_residual_skip_matches_the_reference_where_the_confirm_fails(seed, case):
-    # at tol 1e-12 the carried residual can pass while the exact one does
-    # not; the pass then steps from the exact gradient
-    qp, order = carried_gradient_qp(seed, case)
+    # the residual skip leaves every solve unchanged down to tol 1e-12, where
+    # residuals end close to tol and the skip's margin is narrowest
+    qp, order = stationarity_case_qp(seed, case)
     for shift in (qc.sdp_shift(qp.M), qc.sigma_shift(qp.M)):
         for label in ((), (1,), (0, 1)):
             red = qc.reduce(qp, label, order)
