@@ -245,8 +245,8 @@ def build_relaxation(reduced: ReducedQp, shift: DcShift) -> ReducedQp:
     2 (Diag(lam) - M) is PSD: lam is the shift certified for the full
     matrix, restricted to the free coordinates (in the subproblem's order),
     and a principal submatrix of a PSD matrix is PSD, so no per-node
-    re-solve is needed.  certified_lower_bound recomputes the exact gradient
-    at the final point, so a loosely converged solve costs tightness, never
+    re-solve is needed.  The certificate takes the exact gradient at the
+    final point, so a loosely converged solve costs tightness, never
     soundness.
     """
     lam = shift.lam[reduced.free]
@@ -297,8 +297,22 @@ def certified_lower_bound(rel: ReducedQp, x) -> float:
     relaxation solution; the gradient is recomputed exactly at x.
     """
     x = np.asarray(x, dtype=float)
+    _check_reference(rel, x)  # before evaluating f_L at a point that may not be finite
+    return _certificate(rel, x, rel.grad(x), rel.value(x))
+
+
+def _check_reference(rel: ReducedQp, x: np.ndarray) -> None:
     if not rel.fset.contains(x, tol=1e-7):
         raise ValueError("the reference point is infeasible")
-    g = rel.grad(x)
+
+
+def _certificate(rel: ReducedQp, x: np.ndarray, g: np.ndarray, value: float) -> float:
+    """certified_lower_bound(rel, x), given g = rel.grad(x) and value = rel.value(x).
+
+    The gradient projection loop holds both at every iterate, taken from its
+    one product M x by the code of rel.grad and rel.value, so the bound is
+    the same float certified_lower_bound would return.
+    """
+    _check_reference(rel, x)
     y = greedy_linear_min(g, rel.lo, rel.hi)
-    return float(rel.value(x) + g @ (y - x))
+    return float(value + g @ (y - x))

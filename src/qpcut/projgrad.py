@@ -8,15 +8,20 @@ safeguarded Barzilai-Borwein steplength and t* minimizes the quadratic
 exactly on the segment (best endpoint when the segment quadratic is
 concave).  The stopping rule is the unit-step projected-gradient residual
 ||P(x - g) - x|| <= tol, or the iteration cap; the defaults below are the
-ones branch and bound uses.  Each pass takes the exact gradient at its
-iterate, projects once for the step and computes the residual only when
-the step cannot rule it out: for x in a convex set, ||P(x - alpha g) - x||
-is nondecreasing in alpha and ||P(x - alpha g) - x|| / alpha nonincreasing
-(Calamai & More 1987, Math. Programming 39, Lemma 2.2), so the residual is
-at least min(1, 1/alpha) ||P(x - alpha g) - x||.  A relaxation solve given a
-cutoff also stops as soon as its certified lower bound, checked at
-iterations 0, 1, 2, 4, 8, ..., is above the cutoff: branch and bound then
-prunes the node, and more iterations could not change that.
+ones branch and bound uses.  Each iterate costs one product M x, from which
+the exact gradient, and where needed the value and the certified bound,
+are taken.  Each pass projects once for the step and decides the residual
+from it when it can: for x in a convex set, ||P(x - alpha g) - x|| is
+nondecreasing in alpha and ||P(x - alpha g) - x|| / alpha nonincreasing
+(Calamai & More 1987, Math. Programming 39, Lemma 2.2), so the residual lies
+between min(1, 1/alpha) and max(1, 1/alpha) times ||P(x - alpha g) - x||,
+and P(x - g) is formed only when neither end settles it.  A relaxation
+solve given a cutoff also stops as soon as its certified lower bound,
+checked at iterations 0, 1, 2, 4, 8, ... before that pass's projection, is
+above the cutoff: branch and bound then prunes the node, and more
+iterations could not change that.  A checked iterate that has also
+converged therefore reports 'cutoff', with the bound a converged stop there
+would return.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import certified_lower_bound
+# certified_lower_bound is unused here; perfbench/tracing.py traces this name in this module
+from .bounds import _certificate, certified_lower_bound  # noqa: F401
 from .qp import FeasibleSet, ReducedQp
 
 __all__ = ["SolveReport", "project", "solve_convex", "descend_nonconvex"]
@@ -44,7 +50,7 @@ class SolveReport:
 
     stop: 'converged' (residual within tol), 'cutoff' (certified bound above
     the cutoff), 'cap' (max_iter reached) or 'floor' (no descent left in
-    floating point: a zero step, or a segment search that returns t = 0).
+    floating point: a segment search that returns t = 0).
     """
 
     x: np.ndarray
@@ -127,61 +133,70 @@ def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
     return y
 
 
-def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
+def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
     """Gradient projection on a quadratic problem from x0; returns (report, bound).
 
     The Hessian of const + lin . x - x^T (M - Diag(lam)) x is -2 times
-    problem.matvec.  Each step evaluates the gradient at the new iterate and
-    forms one product Hd, which gives the segment curvature d^T H d and the
-    Barzilai-Borwein step d^T d / d^T H d.
+    problem.matvec.  Each iterate costs one product mx = problem.matvec(x):
+    the gradient and, where a check or the certificate needs it, the value
+    are taken from it by problem.grad_from and problem.value_from, the code
+    of problem.grad and problem.value.  Each step forms one more product Hd,
+    which gives the segment curvature d^T H d and the Barzilai-Borwein step
+    d^T d / d^T H d.
 
-    Each pass projects for the step d = P(x - alpha g) - x first.  By the
-    lemma in the module docstring the residual is at least
-    min(1, 1/alpha) ||d||; when that is above 2 tol the pass cannot have
-    converged and P(x - g) is not formed.  The factor 2 leaves a margin of
-    tol for rounding and for the ~1e-12 infeasibility of the iterates, so
-    the residual is skipped only where it would be above tol, and the
-    iterates, bounds and reports are those of computing it on every pass.
+    Each pass projects for the step d = P(x - alpha g) - x.  By the lemma in
+    the module docstring the residual lies between min(1, 1/alpha) ||d|| and
+    max(1, 1/alpha) ||d||: an upper end of at most tol / 2 proves the pass
+    converged, and a lower end above 2 tol proves it did not; only between
+    the two is P(x - g) formed.  The factor 2 on either side leaves a margin
+    for rounding and for the ~1e-12 infeasibility of the iterates, so the
+    loop stops where computing the residual on every pass would, with the
+    same iterates, bounds and reports.
 
     With a cutoff, problem must be a convex relaxation: its certified lower
-    bound is computed at iterations 0, 1, 2, 4, 8, ... and the loop stops
-    when it is above the cutoff, returning that bound; otherwise the bound
-    is None.  No certified bound exceeds min f_L, so the checks end once
-    f_L(x) is at most the cutoff.  They never alter the iterates.
+    bound is computed at iterations 0, 1, 2, 4, 8, ..., before that pass's
+    projection, and the loop stops with stop 'cutoff' when it is above the
+    cutoff, returning that bound.  No certified bound exceeds min f_L, so
+    the checks end once f_L(x) is at most the cutoff.  They never alter the
+    iterates.  With certify (a relaxation too), a loop that stops for any
+    other reason returns the certified bound at its last iterate; otherwise
+    the bound is None.
     """
     fset = problem.fset
     x = np.asarray(x0, dtype=float).copy()
     if not fset.contains(x, tol=1e-9):
         raise ValueError("starting point is infeasible")
-    g = problem.grad(x)
+    mx = problem.matvec(x)
+    g = problem.grad_from(mx)
     gmax = float(np.abs(g).max()) if g.size else 0.0
     alpha = 1.0 if gmax == 0.0 else 1.0 / gmax
     alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
 
     bound = None
     for iterations in range(max(max_iter, 0) + 1):
-        d = project(x - alpha * g, fset) - x
-        dd = float(d @ d)
-        scale = min(1.0, 1.0 / alpha)
-        if dd * scale * scale <= 4.0 * tol * tol:  # else residual >= 2 tol: skip it
-            r = project(x - g, fset) - x
-            if math.sqrt(r @ r) <= tol:
-                stop = "converged"
-                break
         if cutoff is not None and not iterations & (iterations - 1):
-            if problem.value(x) <= cutoff:
+            value = problem.value_from(x, mx)
+            if value <= cutoff:
                 cutoff = None  # no certified bound exceeds min f_L <= f_L(x)
             else:
-                cert = certified_lower_bound(problem, x)
+                cert = _certificate(problem, x, g, value)
                 if cert > cutoff:
                     bound = cert
                     stop = "cutoff"
                     break
+        d = project(x - alpha * g, fset) - x
+        dd = float(d @ d)
+        inv = 1.0 / alpha
+        if dd * max(1.0, inv) ** 2 <= 0.25 * tol * tol:  # residual <= tol / 2
+            stop = "converged"
+            break
+        if dd * min(1.0, inv) ** 2 <= 4.0 * tol * tol:  # else residual >= 2 tol: skip it
+            r = project(x - g, fset) - x
+            if math.sqrt(r @ r) <= tol:
+                stop = "converged"
+                break
         if iterations == max_iter:
             stop = "cap"
-            break
-        if dd == 0.0 and not d.any():
-            stop = "floor"  # fixed point for this steplength: stationary
             break
         a = float(g @ d)  # < 0 by the projection inequality
         hd = -2.0 * problem.matvec(d)
@@ -195,10 +210,13 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
             stop = "floor"  # no descent left in floating point
             break
         x = x + t * d
-        g = problem.grad(x)
+        mx = problem.matvec(x)
+        g = problem.grad_from(mx)
         # BB step s.s / s.y with s = t d and y = t Hd
         alpha = dd / b if t * t * b > 1e-30 else ALPHA_MAX
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
+    if certify and stop != "cutoff":
+        bound = _certificate(problem, x, g, problem.value_from(x, mx))
     return SolveReport(x=x, iterations=iterations, stop=stop), bound
 
 
@@ -215,10 +233,7 @@ def solve_convex(rel: ReducedQp, x0=None, tol: float = RESIDUAL_TOL,
     """
     if x0 is None:
         x0 = project(np.full(rel.n, 0.5), rel.fset)
-    report, bound = _gp_loop(rel, x0, tol, max_iter, cutoff)
-    if bound is None:
-        bound = certified_lower_bound(rel, report.x)
-    return report, bound
+    return _gp_loop(rel, x0, tol, max_iter, cutoff, certify=True)
 
 
 def descend_nonconvex(problem, x0, tol: float = RESIDUAL_TOL,

@@ -8,6 +8,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 import qpcut as qc
+from qpcut.projgrad import (
+    ALPHA_MAX, ALPHA_MIN, DESCENT_MAX_ITER, RESIDUAL_TOL, SOLVE_MAX_ITER,
+)
 
 X_TOL = 1e-7
 
@@ -145,12 +148,14 @@ def projection_oracle(x, fset):
     return best
 
 
-def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.project):
-    """qpcut.projgrad._gp_loop as it was before the residual skip: every pass
-    projects x - g for the residual and x - alpha g for the step.  Returns
-    (report, bound) like the solver's loop; project can count the calls."""
-    from qpcut.projgrad import ALPHA_MAX, ALPHA_MIN
-
+def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.project,
+                      passes=None):
+    """qpcut.projgrad._gp_loop without its residual shortcuts: every pass
+    projects x - g for the exact residual and, unless it stops first,
+    x - alpha g for the step.  A checked iteration's cutoff test comes first,
+    as in the solver's loop.  Returns (report, bound) like that loop; project
+    can count the calls, and a list given as passes receives (x, g, alpha)
+    at the start of every pass."""
     fset = problem.fset
     x = np.asarray(x0, dtype=float).copy()
     g = problem.grad(x)
@@ -161,10 +166,8 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
     iterations = 0
     bound = None
     for iterations in range(max_iter + 1):
-        r = project(x - g, fset) - x
-        if math.sqrt(r @ r) <= tol:
-            stop = "converged"
-            break
+        if passes is not None:
+            passes.append((x, g, alpha))
         if cutoff is not None and not iterations & (iterations - 1):
             if problem.value(x) <= cutoff:
                 cutoff = None
@@ -174,6 +177,10 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
                     bound = cert
                     stop = "cutoff"
                     break
+        r = project(x - g, fset) - x
+        if math.sqrt(r @ r) <= tol:
+            stop = "converged"
+            break
         if iterations == max_iter:
             stop = "cap"
             break
@@ -196,6 +203,23 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
         alpha = float(d @ d) / b if t * t * b > 1e-30 else ALPHA_MAX
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
     return qc.SolveReport(x=x, iterations=iterations, stop=stop), bound
+
+
+def reference_solve_convex(rel, x0=None, tol=RESIDUAL_TOL, max_iter=SOLVE_MAX_ITER,
+                           cutoff=None):
+    """qpcut.solve_convex on reference_gp_loop, with the final bound from
+    qpcut.certified_lower_bound."""
+    if x0 is None:
+        x0 = qc.project(np.full(rel.n, 0.5), rel.fset)
+    report, bound = reference_gp_loop(rel, x0, tol, max_iter, cutoff)
+    if bound is None:
+        bound = qc.certified_lower_bound(rel, report.x)
+    return report, bound
+
+
+def reference_descend_nonconvex(problem, x0, tol=RESIDUAL_TOL, max_iter=DESCENT_MAX_ITER):
+    """qpcut.descend_nonconvex on reference_gp_loop."""
+    return reference_gp_loop(problem, x0, tol, max_iter)[0]
 
 
 def subtree_minima(g, spec, order):

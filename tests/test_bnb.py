@@ -8,7 +8,8 @@ from hypothesis import given, settings
 import qpcut as qc
 from qpcut.bnb import EPS, BnbConfig, upper_bound_from
 from helpers import (
-    complete_graph, cut_instances, label_key, path_graph, random_graph, subtree_minima,
+    complete_graph, cut_instances, label_key, path_graph, random_graph,
+    reference_descend_nonconvex, reference_solve_convex, subtree_minima,
 )
 
 
@@ -205,6 +206,31 @@ def test_solve_path_classifies_no_local_minima(monkeypatch, bound, lo, hi):
     sol = qc.solve(g, spec, BnbConfig(bound=bound))
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(opt)
+
+
+@pytest.mark.parametrize("bound", ["sdp", "eig"])
+@pytest.mark.parametrize("lo, hi", [(5, 5), (3, 7), (4, 4), (2, 5)],
+                         ids=["bisect", "mirror-window", "equality", "window"])
+def test_search_is_the_reference_solvers_bit_for_bit(monkeypatch, bound, lo, hi):
+    # The shipped loop takes the gradient, value and certificate from one M x
+    # per iterate and skips or proves the residual from the step; the
+    # reference forms every residual and recomputes every certificate.  Both
+    # searches run here, in one process and on one BLAS, and must agree in
+    # every bit.  l + u = n (bisect, mirror-window) and signed weights.
+    g = random_graph(10, 0.6, 11)
+    spec = qc.PartitionSpec(lo, hi)
+    config = BnbConfig(bound=bound)
+    shipped = qc.solve(g, spec, config)
+    monkeypatch.setattr("qpcut.bnb.solve_convex", reference_solve_convex)
+    monkeypatch.setattr("qpcut.bnb.descend_nonconvex", reference_descend_nonconvex)
+    ref = qc.solve(g, spec, config)
+    assert shipped.node_bounds == ref.node_bounds
+    assert shipped.bound_trace == ref.bound_trace
+    assert shipped.value == ref.value
+    assert shipped.incumbent_trace == ref.incumbent_trace
+    assert (shipped.v1, shipped.lower_bound) == (ref.v1, ref.lower_bound)
+    assert shipped.all_relaxations_converged == ref.all_relaxations_converged
+    assert (g.weights < 0).any() and shipped.node_count > 10
 
 
 def test_node_limit_and_time_limit_statuses():
