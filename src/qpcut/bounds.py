@@ -296,23 +296,21 @@ def certified_lower_bound(rel: ReducedQp, x) -> float:
     below the best binary completion, no matter how inexact x is as a
     relaxation solution; the gradient is recomputed exactly at x.
     """
-    x = np.asarray(x, dtype=float)
-    _check_reference(rel, x)  # before evaluating f_L at a point that may not be finite
-    return _certificate(rel, x, rel.grad(x), rel.value(x))
+    return _certificate(rel, np.asarray(x, dtype=float))
 
 
-def _check_reference(rel: ReducedQp, x: np.ndarray) -> None:
-    if not rel.fset.contains(x, tol=1e-7):
-        raise ValueError("the reference point is infeasible")
-
-
-def _certificate(rel: ReducedQp, x: np.ndarray, g: np.ndarray, value: float) -> float:
-    """certified_lower_bound(rel, x), given g = rel.grad(x) and value = rel.value(x).
+def _certificate(rel: ReducedQp, x: np.ndarray, g=None, value=None) -> float:
+    """certified_lower_bound(rel, x); a caller that holds g = rel.grad(x) and
+    value = rel.value(x) passes them.
 
     The gradient projection loop holds both at every iterate, taken from its
     one product M x by the code of rel.grad and rel.value, so the bound is
     the same float certified_lower_bound would return.
     """
-    _check_reference(rel, x)
+    if not rel.fset.contains(x, tol=1e-7):  # before f_L is evaluated at x
+        raise ValueError("the reference point is infeasible")
+    if g is None:
+        mx = rel.matvec(x)
+        g, value = rel.grad_from(mx), rel.value_from(x, mx)
     y = greedy_linear_min(g, rel.lo, rel.hi)
     return float(value + g @ (y - x))

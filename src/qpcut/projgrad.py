@@ -15,13 +15,14 @@ from it when it can: for x in a convex set, ||P(x - alpha g) - x|| is
 nondecreasing in alpha and ||P(x - alpha g) - x|| / alpha nonincreasing
 (Calamai & More 1987, Math. Programming 39, Lemma 2.2), so the residual lies
 between min(1, 1/alpha) and max(1, 1/alpha) times ||P(x - alpha g) - x||,
-and P(x - g) is formed only when neither end settles it.  A relaxation
-solve given a cutoff also stops as soon as its certified lower bound,
-checked at iterations 0, 1, 2, 4, 8, ... before that pass's projection, is
-above the cutoff: branch and bound then prunes the node, and more
-iterations could not change that.  A checked iterate that has also
-converged therefore reports 'cutoff', with the bound a converged stop there
-would return.
+and P(x - g) is formed only when neither end settles it (the upper end
+scales rounding by up to 1/alpha, so it is trusted only where that rounding
+is far below tol).  A relaxation solve given a cutoff also stops as soon as
+its certified lower bound, checked at iterations 0, 1, 2, 4, 8, ... before
+that pass's projection, is above the cutoff: branch and bound then prunes
+the node, and more iterations could not change that.  A checked iterate
+that has also converged therefore reports 'cutoff', with the bound a
+converged stop there would return.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = ["SolveReport", "project", "solve_convex", "descend_nonconvex"]
 
 ALPHA_MIN = 1e-8
 ALPHA_MAX = 1e8
+EPS = float(np.finfo(float).eps)
 RESIDUAL_TOL = 1e-4  # projected-gradient residual at which a solve has converged
 SOLVE_MAX_ITER = 10000  # iterations per relaxation solve
 DESCENT_MAX_ITER = 2000  # iterations per nonconvex descent
@@ -50,7 +52,7 @@ class SolveReport:
 
     stop: 'converged' (residual within tol), 'cutoff' (certified bound above
     the cutoff), 'cap' (max_iter reached) or 'floor' (no descent left in
-    floating point: a segment search that returns t = 0).
+    floating point: a zero step, or a segment search that returns t = 0).
     """
 
     x: np.ndarray
@@ -146,12 +148,17 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
 
     Each pass projects for the step d = P(x - alpha g) - x.  By the lemma in
     the module docstring the residual lies between min(1, 1/alpha) ||d|| and
-    max(1, 1/alpha) ||d||: an upper end of at most tol / 2 proves the pass
-    converged, and a lower end above 2 tol proves it did not; only between
-    the two is P(x - g) formed.  The factor 2 on either side leaves a margin
-    for rounding and for the ~1e-12 infeasibility of the iterates, so the
-    loop stops where computing the residual on every pass would, with the
-    same iterates, bounds and reports.
+    max(1, 1/alpha) ||d||: a lower end above 2 tol proves the pass has not
+    converged, and the factor 2 leaves a margin of tol for rounding and for
+    the ~1e-12 infeasibility of the iterates.  The upper end multiplies the
+    rounding in d by max(1, 1/alpha), up to 1 / ALPHA_MIN = 1e8, so it proves
+    convergence only when it is at most tol / 2 and max(1, 1/alpha) times
+    the bound _step_rounding puts on that rounding is at most tol / 4: at
+    tol 1e-12, a step that rounds to zero at alpha = 1e-8 proves nothing.
+    Between the two ends P(x - g) is formed, and a zero step whose residual
+    is above tol stops 'floor'.  So the loop stops where computing the
+    residual on every pass would, with the same iterates, bounds and
+    reports.
 
     With a cutoff, problem must be a convex relaxation: its certified lower
     bound is computed at iterations 0, 1, 2, 4, 8, ..., before that pass's
@@ -184,11 +191,13 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
                     bound = cert
                     stop = "cutoff"
                     break
-        d = project(x - alpha * g, fset) - x
+        z = x - alpha * g
+        d = project(z, fset) - x
         dd = float(d @ d)
         inv = 1.0 / alpha
-        if dd * max(1.0, inv) ** 2 <= 0.25 * tol * tol:  # residual <= tol / 2
-            stop = "converged"
+        big = max(1.0, inv)
+        if dd * big * big <= 0.25 * tol * tol and big * _step_rounding(z) <= 0.25 * tol:
+            stop = "converged"  # residual <= big (||d|| + rounding) < tol
             break
         if dd * min(1.0, inv) ** 2 <= 4.0 * tol * tol:  # else residual >= 2 tol: skip it
             r = project(x - g, fset) - x
@@ -197,6 +206,9 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
                 break
         if iterations == max_iter:
             stop = "cap"
+            break
+        if dd == 0.0 and not d.any():
+            stop = "floor"  # fixed point for this steplength, short of tol
             break
         a = float(g @ d)  # < 0 by the projection inequality
         hd = -2.0 * problem.matvec(d)
@@ -218,6 +230,15 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
     if certify and stop != "cutoff":
         bound = _certificate(problem, x, g, problem.value_from(x, mx))
     return SolveReport(x=x, iterations=iterations, stop=stop), bound
+
+
+def _step_rounding(z) -> float:
+    """Bound on the rounding in ||P(z) - x||, z = x - alpha g, x in the set.
+
+    Forming z and shifting it onto the budget each round a coordinate by a
+    few ulps of 1 + ||z||_inf at most; 16 of them per coordinate leaves room.
+    """
+    return 16.0 * EPS * math.sqrt(z.size) * (1.0 + float(np.abs(z).max(initial=0.0)))
 
 
 def solve_convex(rel: ReducedQp, x0=None, tol: float = RESIDUAL_TOL,

@@ -37,8 +37,7 @@ class FeasibleSet:
     solve on the same subproblem.  What the projection needs besides p and q
     is computed once here, not on every call: the box sums, emptiness, the
     bounds stacked as rows [q, p] (so x - bounds holds the 2n breakpoints of
-    the budget shift) and the matching +1 / -1 free-count steps.  is_unit
-    marks a set made by unit_box, whose box test needs no bound arrays.
+    the budget shift) and the matching +1 / -1 free-count steps.
     """
 
     p: np.ndarray
@@ -49,7 +48,6 @@ class FeasibleSet:
     is_empty: bool = field(init=False, repr=False, compare=False)
     bounds: np.ndarray = field(init=False, repr=False, compare=False)
     steps: np.ndarray = field(init=False, repr=False, compare=False)
-    is_unit: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
@@ -58,7 +56,7 @@ class FeasibleSet:
             raise ValueError("p and q must be 1-d arrays of equal length")
         if np.any(p > q):
             raise ValueError("need p <= q componentwise")
-        self._freeze(self.lo, self.hi, False, *_box_arrays(p, q))
+        self._freeze(self.lo, self.hi, *_box_arrays(p, q))
 
     @classmethod
     def unit_box(cls, n: int, lo: float, hi: float) -> FeasibleSet:
@@ -68,13 +66,12 @@ class FeasibleSet:
         window and is_empty are set per instance.
         """
         fset = object.__new__(cls)
-        fset._freeze(lo, hi, True, *_unit_box_arrays(n))
+        fset._freeze(lo, hi, *_unit_box_arrays(n))
         return fset
 
-    def _freeze(self, lo, hi, is_unit, p, q, bounds, steps, qsum, psum):
+    def _freeze(self, lo, hi, p, q, bounds, steps, qsum, psum):
         lo, hi = float(lo), float(hi)
         fields = {
-            "is_unit": is_unit,
             "p": p,
             "q": q,
             "lo": lo,
@@ -95,12 +92,7 @@ class FeasibleSet:
         x = np.asarray(x, dtype=float)
         if x.shape != self.p.shape:
             return False
-        if self.is_unit:
-            # the general test's answer from two reductions; a NaN entry makes
-            # min and max NaN and fails here, as it fails the general sum test
-            if x.size and not (x.min() >= -tol and x.max() <= 1.0 + tol):
-                return False
-        elif (x < self.p - tol).any() or (x > self.q + tol).any():
+        if (x < self.p - tol).any() or (x > self.q + tol).any():
             return False
         s = x.sum()
         slack = tol * max(1.0, self.dim)

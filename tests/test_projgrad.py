@@ -411,6 +411,23 @@ def test_step_bounds_the_residual_and_every_converged_stop_is_within_tol(kind, d
             )
 
 
+def test_a_step_that_rounds_to_zero_proves_convergence_only_above_its_rounding():
+    # alpha = ALPHA_MIN (1 / ||g||_inf is 1e-9) and x - alpha g rounds back to
+    # x, so the step is zero while the unit-step residual is 1e-9.  At tol
+    # 1e-12 the step bound, which scales rounding by 1 / alpha = 1e8, proves
+    # nothing: the pass computes the residual and stops 'floor', as the
+    # reference does.  At tol 1e-4 that rounding is far below tol.
+    red = qc.ReducedQp(free=np.arange(2), M=np.zeros((2, 2)), lin=np.array([-1e9, 1e-9]),
+                       const=0.0, lo=0, hi=2)
+    x0 = np.array([1.0, 0.5])
+    assert exact_residual(red.grad, x0, red.fset) == pytest.approx(1e-9)
+    for tol, stop in ((1e-12, "floor"), (1e-4, "converged")):
+        out = qc.descend_nonconvex(red, x0, tol=tol)
+        ref, _ = reference_gp_loop(red, x0, tol, projgrad.DESCENT_MAX_ITER)
+        assert_same_report(out, ref)
+        assert (out.stop, out.iterations) == (stop, 0)
+
+
 @pytest.mark.parametrize("seed, case", _stationarity_cases())
 def test_residual_skip_matches_the_reference_where_the_confirm_fails(seed, case):
     # the residual skip leaves every solve unchanged down to tol 1e-12, where
