@@ -286,7 +286,7 @@ def greedy_linear_min(c, lo: int, hi: int) -> np.ndarray:
     return y
 
 
-def certified_lower_bound(rel: ReducedQp, x) -> float:
+def certified_lower_bound(rel: ReducedQp, x, g=None, value=None) -> float:
     """Sound lower bound on the subproblem from any feasible point.
 
     rel is the convex relaxation from build_relaxation: its Hessian is PSD by
@@ -294,19 +294,12 @@ def certified_lower_bound(rel: ReducedQp, x) -> float:
     Minimizing the right side exactly over the feasible set (a linear
     program solved by the greedy rule) yields a bound below min f_L, hence
     below the best binary completion, no matter how inexact x is as a
-    relaxation solution; the gradient is recomputed exactly at x.
+    relaxation solution.  A caller that holds g = rel.grad(x) and
+    value = rel.value(x) passes both, as the gradient projection loop does
+    from its one product M x by the code of rel.grad and rel.value, and gets
+    the same float; otherwise both are taken exactly at x from one product.
     """
-    return _certificate(rel, np.asarray(x, dtype=float))
-
-
-def _certificate(rel: ReducedQp, x: np.ndarray, g=None, value=None) -> float:
-    """certified_lower_bound(rel, x); a caller that holds g = rel.grad(x) and
-    value = rel.value(x) passes them.
-
-    The gradient projection loop holds both at every iterate, taken from its
-    one product M x by the code of rel.grad and rel.value, so the bound is
-    the same float certified_lower_bound would return.
-    """
+    x = np.asarray(x, dtype=float)
     if not rel.fset.contains(x, tol=1e-7):  # before f_L is evaluated at x
         raise ValueError("the reference point is infeasible")
     if g is None:

@@ -10,19 +10,16 @@ concave).  The stopping rule is the unit-step projected-gradient residual
 ||P(x - g) - x|| <= tol, or the iteration cap; the defaults below are the
 ones branch and bound uses.  Each iterate costs one product M x, from which
 the exact gradient, and where needed the value and the certified bound,
-are taken.  Each pass projects once for the step and decides the residual
-from it when it can: for x in a convex set, ||P(x - alpha g) - x|| is
-nondecreasing in alpha and ||P(x - alpha g) - x|| / alpha nonincreasing
-(Calamai & More 1987, Math. Programming 39, Lemma 2.2), so the residual lies
-between min(1, 1/alpha) and max(1, 1/alpha) times ||P(x - alpha g) - x||,
-and P(x - g) is formed only when neither end settles it (the upper end
-scales rounding by up to 1/alpha, so it is trusted only where that rounding
-is far below tol).  A relaxation solve given a cutoff also stops as soon as
-its certified lower bound, checked at iterations 0, 1, 2, 4, 8, ... before
-that pass's projection, is above the cutoff: branch and bound then prunes
-the node, and more iterations could not change that.  A checked iterate
-that has also converged therefore reports 'cutoff', with the bound a
-converged stop there would return.
+are taken.  Each pass projects once for the step, and forms P(x - g) only
+where that step cannot rule convergence out: for x in a convex set,
+||P(x - alpha g) - x|| / alpha is nonincreasing in alpha (Calamai & More
+1987, Math. Programming 39, Lemma 2.2), so the residual is at least
+min(1, 1/alpha) ||P(x - alpha g) - x||.  A relaxation solve given a cutoff
+also stops as soon as its certified lower bound, checked at iterations 0, 1,
+2, 4, 8, ... before that pass's projection, is above the cutoff: branch and
+bound then prunes the node, and more iterations could not change that.  A
+checked iterate that has also converged therefore reports 'cutoff', with
+the bound a converged stop there would return.
 """
 
 from __future__ import annotations
@@ -32,15 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# certified_lower_bound is unused here; perfbench/tracing.py traces this name in this module
-from .bounds import _certificate, certified_lower_bound  # noqa: F401
+from .bounds import certified_lower_bound
 from .qp import FeasibleSet, ReducedQp
 
 __all__ = ["SolveReport", "project", "solve_convex", "descend_nonconvex"]
 
 ALPHA_MIN = 1e-8
 ALPHA_MAX = 1e8
-EPS = float(np.finfo(float).eps)
 RESIDUAL_TOL = 1e-4  # projected-gradient residual at which a solve has converged
 SOLVE_MAX_ITER = 10000  # iterations per relaxation solve
 DESCENT_MAX_ITER = 2000  # iterations per nonconvex descent
@@ -147,16 +142,12 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
     d^T d / d^T H d.
 
     Each pass projects for the step d = P(x - alpha g) - x.  By the lemma in
-    the module docstring the residual lies between min(1, 1/alpha) ||d|| and
-    max(1, 1/alpha) ||d||: a lower end above 2 tol proves the pass has not
-    converged, and the factor 2 leaves a margin of tol for rounding and for
-    the ~1e-12 infeasibility of the iterates.  The upper end multiplies the
-    rounding in d by max(1, 1/alpha), up to 1 / ALPHA_MIN = 1e8, so it proves
-    convergence only when it is at most tol / 2 and max(1, 1/alpha) times
-    the bound _step_rounding puts on that rounding is at most tol / 4: at
-    tol 1e-12, a step that rounds to zero at alpha = 1e-8 proves nothing.
-    Between the two ends P(x - g) is formed, and a zero step whose residual
-    is above tol stops 'floor'.  So the loop stops where computing the
+    the module docstring the residual is at least min(1, 1/alpha) ||d||, so
+    a pass whose lower end is above 2 tol has not converged and skips
+    P(x - g); the factor 2 leaves a margin of tol for rounding and for the
+    ~1e-12 infeasibility of the iterates.  Every other pass forms P(x - g)
+    and stops 'converged' when ||P(x - g) - x|| <= tol, and a zero step
+    short of that stops 'floor'.  So the loop stops where computing the
     residual on every pass would, with the same iterates, bounds and
     reports.
 
@@ -169,6 +160,8 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
     other reason returns the certified bound at its last iterate; otherwise
     the bound is None.
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     fset = problem.fset
     x = np.asarray(x0, dtype=float).copy()
     if not fset.contains(x, tol=1e-9):
@@ -180,26 +173,20 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
     alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
 
     bound = None
-    for iterations in range(max(max_iter, 0) + 1):
+    for iterations in range(max_iter + 1):
         if cutoff is not None and not iterations & (iterations - 1):
             value = problem.value_from(x, mx)
             if value <= cutoff:
                 cutoff = None  # no certified bound exceeds min f_L <= f_L(x)
             else:
-                cert = _certificate(problem, x, g, value)
+                cert = certified_lower_bound(problem, x, g, value)
                 if cert > cutoff:
                     bound = cert
                     stop = "cutoff"
                     break
-        z = x - alpha * g
-        d = project(z, fset) - x
+        d = project(x - alpha * g, fset) - x
         dd = float(d @ d)
-        inv = 1.0 / alpha
-        big = max(1.0, inv)
-        if dd * big * big <= 0.25 * tol * tol and big * _step_rounding(z) <= 0.25 * tol:
-            stop = "converged"  # residual <= big (||d|| + rounding) < tol
-            break
-        if dd * min(1.0, inv) ** 2 <= 4.0 * tol * tol:  # else residual >= 2 tol: skip it
+        if dd * min(1.0, 1.0 / alpha) ** 2 <= 4.0 * tol * tol:  # else residual >= 2 tol: skip it
             r = project(x - g, fset) - x
             if math.sqrt(r @ r) <= tol:
                 stop = "converged"
@@ -228,17 +215,8 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
         alpha = dd / b if t * t * b > 1e-30 else ALPHA_MAX
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
     if certify and stop != "cutoff":
-        bound = _certificate(problem, x, g, problem.value_from(x, mx))
+        bound = certified_lower_bound(problem, x, g, problem.value_from(x, mx))
     return SolveReport(x=x, iterations=iterations, stop=stop), bound
-
-
-def _step_rounding(z) -> float:
-    """Bound on the rounding in ||P(z) - x||, z = x - alpha g, x in the set.
-
-    Forming z and shifting it onto the budget each round a coordinate by a
-    few ulps of 1 + ||z||_inf at most; 16 of them per coordinate leaves room.
-    """
-    return 16.0 * EPS * math.sqrt(z.size) * (1.0 + float(np.abs(z).max(initial=0.0)))
 
 
 def solve_convex(rel: ReducedQp, x0=None, tol: float = RESIDUAL_TOL,

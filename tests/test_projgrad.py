@@ -166,7 +166,7 @@ def stationarity_case_qp(seed, case):
 
 
 @pytest.mark.parametrize("seed, case", _stationarity_cases())
-def test_carried_gradient_cannot_fake_convergence(seed, case):
+def test_converged_reports_are_stationary_at_the_exact_gradient(seed, case):
     # a converged report is stationary to tol at the exact gradient, for
     # relaxations and descents, down to tol 1e-12
     qp, order = stationarity_case_qp(seed, case)
@@ -389,14 +389,12 @@ def test_residual_skip_is_bit_identical_to_the_two_projection_loop(kind, data):
 @settings(max_examples=60)
 @given(data=st.data())
 def test_step_bounds_the_residual_and_every_converged_stop_is_within_tol(kind, data):
-    # A pass stops 'converged' without forming P(x - g) when
-    # max(1, 1/alpha) ||P(x - alpha g) - x|| <= tol / 2 (Calamai & More 1987,
-    # Lemma 2.2) and the rounding that factor scales is far below tol (the
-    # next test).  At every pass of the loop that bound is at least the exact
-    # residual, up to rounding (1.4e-14 at most over 254,818 passes measured),
-    # and every converged stop, by either test, is stationary to tol.  The
-    # passes are the reference loop's, which the tests above hold bit for bit
-    # to the solver's.
+    # A pass forms P(x - g) only when min(1, 1/alpha) ||P(x - alpha g) - x||
+    # is at most 2 tol: by Calamai & More 1987, Lemma 2.2, that lower end is
+    # at most the exact residual, so a skipped pass has not converged.  That
+    # holds at every pass up to rounding, and every converged stop is
+    # stationary to tol.  The passes are the reference loop's, which the
+    # tests above hold bit for bit to the solver's.
     red, rel, x0, tol = data.draw(node_problems(kind))
     report, _ = qc.solve_convex(rel, x0, tol=tol)
     out = qc.descend_nonconvex(red, report.x, tol=tol)
@@ -407,17 +405,16 @@ def test_step_bounds_the_residual_and_every_converged_stop_is_within_tol(kind, d
         reference_gp_loop(problem, start, tol, stopped.iterations, passes=passes)
         for x, g, alpha in passes:
             step = np.linalg.norm(qc.project(x - alpha * g, problem.fset) - x)
-            assert exact_residual(problem.grad, x, problem.fset) <= (
-                max(1.0, 1.0 / alpha) * step + 1e-13
+            assert min(1.0, 1.0 / alpha) * step <= (
+                exact_residual(problem.grad, x, problem.fset) + 1e-13
             )
 
 
-def test_a_step_that_rounds_to_zero_proves_convergence_only_above_its_rounding():
+def test_a_zero_step_stops_on_its_exact_residual():
     # alpha = ALPHA_MIN (1 / ||g||_inf is 1e-9) and x - alpha g rounds back to
-    # x, so the step is zero while the unit-step residual is 1e-9.  At tol
-    # 1e-12 the step bound, which scales rounding by 1 / alpha = 1e8, proves
-    # nothing: the pass computes the residual and stops 'floor', as the
-    # reference does.  At tol 1e-4 that rounding is far below tol.
+    # x, so the step is zero while the unit-step residual is 1e-9.  The pass
+    # forms that residual, which stops it 'floor' at tol 1e-12 and
+    # 'converged' at tol 1e-4, as in the reference loop.
     red = qc.ReducedQp(free=np.arange(2), M=np.zeros((2, 2)), lin=np.array([-1e9, 1e-9]),
                        const=0.0, lo=0, hi=2)
     x0 = np.array([1.0, 0.5])
@@ -427,6 +424,21 @@ def test_a_step_that_rounds_to_zero_proves_convergence_only_above_its_rounding()
         ref, _ = reference_gp_loop(red, x0, tol, projgrad.DESCENT_MAX_ITER)
         assert_same_report(out, ref)
         assert (out.stop, out.iterations) == (stop, 0)
+
+
+def test_a_negative_iteration_cap_is_rejected_by_both_solvers():
+    # a start that iteration 0 does not stop, so a cap below 0 is never met
+    g = qc.gen_random(8, 0.8, 1)
+    qp = qc.make_qp(g, qc.PartitionSpec(2, 6))
+    red = qc.reduce(qp, ())
+    rel = qc.build_relaxation(red, qc.sdp_shift(qp.M))
+    x0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert not qc.solve_convex(rel, x0, max_iter=0)[0].converged
+    assert not qc.descend_nonconvex(red, x0, max_iter=0).converged
+    with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+        qc.solve_convex(rel, x0, max_iter=-1)
+    with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+        qc.descend_nonconvex(red, x0, max_iter=-1)
 
 
 @pytest.mark.parametrize("seed, case", _stationarity_cases())
