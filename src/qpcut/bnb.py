@@ -20,8 +20,12 @@ rule already grants.  A candidate is valued on its own subproblem, whose
 const and lin hold the fixed vertices' share of the cut; with integral
 weights every term is an integer below 2**53 (make_qp checks the sum), so
 that value is the cut weight exactly.  A leaf (every vertex fixed) is worth
-its const, which is also its bound.  The full-length incumbent is assembled
-once, at exit.
+its const, which is also its bound.  So is a node whose window forces every
+free vertex (hi <= 0: all to 0; lo >= n: all to 1; forced_bit): its one
+completion's value is its exact bound and its candidate, and it gets no
+relaxation, which could only have certified that value.  It is pruned by the
+same rule, so the search decides as if it had been relaxed.  The full-length
+incumbent is assembled once, at exit.
 
 Relaxations and descents stop by the defaults of qpcut.projgrad.
 all_relaxations_converged is true when every relaxation's SolveReport.stop
@@ -51,6 +55,7 @@ from .rounding import partition_from_binary, round_to_binary
 __all__ = [
     "BnbConfig",
     "Solution",
+    "forced_bit",
     "order_vertices",
     "prune_threshold",
     "upper_bound_from",
@@ -115,6 +120,19 @@ def upper_bound_from(reduced: ReducedQp, x_start):
     return y, float(reduced.value(y))
 
 
+def forced_bit(red: ReducedQp) -> float | None:
+    """The bit the window forces on every free vertex, or None if it leaves a choice.
+
+    reduce has ruled out hi < 0 and lo > n, so hi <= 0 allows only the
+    all-zero completion and lo >= n only the all-one completion.
+    """
+    if red.hi <= 0:
+        return 0.0
+    if red.lo >= red.n:
+        return 1.0
+    return None
+
+
 def _check_config(config: BnbConfig) -> None:
     if config.bound not in ("sdp", "eig"):
         raise ValueError(f"unknown bound variant {config.bound!r}")
@@ -162,19 +180,24 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
                 node_bounds.append((label, val))
             else:
                 cutoff = prune_threshold(best_val, integral)
-                x0 = project(x_start, red.fset)
-                report, cert = solve_convex(build_relaxation(red, shift), x0, cutoff=cutoff)
-                bound = max(cert, parent_bound)
+                bit = forced_bit(red)
+                if bit is not None:  # one completion: its value is the exact bound
+                    x = np.full(red.n, bit)
+                    bound = red.value(x)
+                else:
+                    x0 = project(x_start, red.fset)
+                    report, cert = solve_convex(build_relaxation(red, shift), x0, cutoff=cutoff)
+                    x, bound = report.x, max(cert, parent_bound)
+                    all_converged = all_converged and report.stop in ("converged", "cutoff")
                 node_bounds.append((label, bound))
-                all_converged = all_converged and report.stop in ("converged", "cutoff")
                 if bound > cutoff:
                     continue  # its candidate would cost at least the bound
-                y, val = upper_bound_from(red, report.x)
+                y, val = (x, bound) if bit is not None else upper_bound_from(red, x)
             if val < best_val:
                 best, best_val = (label, red.free, y), val
                 incumbent_trace.append((node_count, val))
             if red.n and bound <= prune_threshold(best_val, integral):
-                heapq.heappush(heap, (bound, -len(label), seq, label, red, report.x))
+                heapq.heappush(heap, (bound, -len(label), seq, label, red, x))
                 seq += 1
 
         if not heap:

@@ -277,11 +277,12 @@ def greedy_linear_min(c, lo: int, hi: int) -> np.ndarray:
         raise ValueError(f"infeasible budget [{lo}, {hi}] for {n} coordinates")
     order = np.argsort(c, kind="stable")
     y = np.zeros(n)
-    neg = order[c[order] < 0.0][:hi]
+    is_neg = c[order] < 0.0
+    neg = order[is_neg][:hi]
     y[neg] = 1.0
     count = neg.size
     if count < lo:
-        pad = order[c[order] >= 0.0][: lo - count]
+        pad = order[~is_neg][: lo - count]
         y[pad] = 1.0
     return y
 

@@ -137,9 +137,9 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
     problem.matvec.  Each iterate costs one product mx = problem.matvec(x):
     the gradient and, where a check or the certificate needs it, the value
     are taken from it by problem.grad_from and problem.value_from, the code
-    of problem.grad and problem.value.  Each step forms one more product Hd,
-    which gives the segment curvature d^T H d and the Barzilai-Borwein step
-    d^T d / d^T H d.
+    of problem.grad and problem.value.  Each step forms one more product
+    problem.matvec(d), which gives the segment curvature
+    d^T H d = -2 d . matvec(d) and the Barzilai-Borwein step d^T d / d^T H d.
 
     Each pass projects for the step d = P(x - alpha g) - x.  By the lemma in
     the module docstring the residual is at least min(1, 1/alpha) ||d||, so
@@ -168,7 +168,7 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
         raise ValueError("starting point is infeasible")
     mx = problem.matvec(x)
     g = problem.grad_from(mx)
-    gmax = float(np.abs(g).max()) if g.size else 0.0
+    gmax = float(np.maximum.reduce(np.abs(g))) if g.size else 0.0
     alpha = 1.0 if gmax == 0.0 else 1.0 / gmax
     alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
 
@@ -198,8 +198,7 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
             stop = "floor"  # fixed point for this steplength, short of tol
             break
         a = float(g @ d)  # < 0 by the projection inequality
-        hd = -2.0 * problem.matvec(d)
-        b = float(d @ hd)
+        b = -2.0 * float(d @ problem.matvec(d))  # d^T H d
         if b > 0.0:
             t = min(1.0, -a / b)
         else:

@@ -59,11 +59,14 @@ class FeasibleSet:
         self._freeze(self.lo, self.hi, *_box_arrays(p, q))
 
     @classmethod
+    @functools.lru_cache(maxsize=4096)
     def unit_box(cls, n: int, lo: float, hi: float) -> FeasibleSet:
         """[0, 1]^n with the window [lo, hi].
 
         Every unit box of one size shares its read-only arrays; only the
-        window and is_empty are set per instance.
+        window and is_empty are set per instance.  The set is immutable, so
+        the instances themselves are cached per (n, lo, hi): every subproblem
+        with the same size and window gets the same one.
         """
         fset = object.__new__(cls)
         fset._freeze(lo, hi, *_unit_box_arrays(n))
@@ -92,9 +95,10 @@ class FeasibleSet:
         x = np.asarray(x, dtype=float)
         if x.shape != self.p.shape:
             return False
-        if (x < self.p - tol).any() or (x > self.q + tol).any():
+        # the ufunc reductions skip the .any() / .sum() wrappers (run on every node)
+        if np.logical_or.reduce(x < self.p - tol) or np.logical_or.reduce(x > self.q + tol):
             return False
-        s = x.sum()
+        s = np.add.reduce(x)
         slack = tol * max(1.0, self.dim)
         return self.lo - slack <= s <= self.hi + slack
 

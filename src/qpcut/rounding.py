@@ -33,14 +33,31 @@ def _snap(x):
     return x
 
 
+def _snap_at(x, moved):
+    """_snap on the coordinates in moved only, in place."""
+    for k in moved:
+        if abs(x[k]) <= SNAP_TOL:
+            x[k] = 0.0
+        elif abs(x[k] - 1.0) <= SNAP_TOL:
+            x[k] = 1.0
+
+
 def round_to_binary(problem, x) -> np.ndarray:
-    """Binary feasible y with f(y) <= f(x); binary entries of x are kept."""
+    """Binary feasible y with f(y) <= f(x); binary entries of x are kept.
+
+    Each move's objective check and the next move's gradient come from one
+    product mx = problem.matvec(x), by problem.value_from and
+    problem.grad_from (the code of problem.value and problem.grad).  x is
+    snapped once in full; after that a move snaps only the coordinates it
+    changed.
+    """
     fset = problem.fset
     x = np.asarray(x, dtype=float).copy()
     if not fset.contains(x, tol=1e-7):
         raise ValueError("input point is infeasible")
     x = _snap(np.clip(x, 0.0, 1.0))
-    fval = problem.value(x)
+    mx = problem.matvec(x)
+    fval = problem.value_from(x, mx)
     guard = 4 * problem.n + 8
 
     for _ in range(guard):
@@ -51,29 +68,33 @@ def round_to_binary(problem, x) -> np.ndarray:
             break
         if not budget_int:
             i = int(frac[0])
-            gi = float(problem.grad(x)[i])
+            gi = float(problem.grad_from(mx)[i])
             if gi < 0.0:
                 alpha = min(1.0 - x[i], np.ceil(budget) - budget)
             else:
                 alpha = -min(x[i], budget - np.floor(budget))
             x[i] += alpha
+            moved = (i,)
         else:
             if frac.size == 1:
                 # an integer budget with one fractional coordinate is float
                 # residue; snap it to the nearer face
                 i = int(frac[0])
                 x[i] = round(x[i])
+                mx = problem.matvec(x)
                 continue
             i, j = int(frac[0]), int(frac[1])
-            g = problem.grad(x)
+            g = problem.grad_from(mx)
             if g[i] - g[j] < 0.0:
                 alpha = min(1.0 - x[i], x[j])
             else:
                 alpha = -min(x[i], 1.0 - x[j])
             x[i] += alpha
             x[j] -= alpha
-        x = _snap(x)
-        fnew = problem.value(x)
+            moved = (i, j)
+        _snap_at(x, moved)
+        mx = problem.matvec(x)
+        fnew = problem.value_from(x, mx)
         if fnew > fval + 1e-9 * (1.0 + abs(fval)):
             raise RuntimeError("rounding move increased the objective")
         fval = fnew

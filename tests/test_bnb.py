@@ -300,6 +300,71 @@ def test_expanding_every_node_skips_infeasible_children(
     assert len(raised) == infeasible
 
 
+def forced_completion(g, spec, order, label):
+    """The side vector of label's one completion when its window forces every
+    free vertex (hi <= 0 or lo >= free) or it is a leaf, else None."""
+    ones, free = sum(label), g.n - len(label)
+    if free and spec.u - ones > 0 and spec.l - ones < free:
+        return None
+    side = np.empty(g.n)
+    side[order[: len(label)]] = label
+    side[order[len(label):]] = 0.0 if spec.u - ones <= 0 else 1.0
+    return side
+
+
+@pytest.mark.parametrize("bound", ["sdp", "eig"])
+@settings(max_examples=100)
+@given(case=cut_instances())
+def test_forced_nodes_carry_their_completion_and_leave_the_search_unchanged(bound, case):
+    # a node whose window leaves one completion is bounded by that
+    # completion's value instead of a relaxation; the relaxation could only
+    # have certified that value, so a search that relaxes every node decides
+    # every prune and every incumbent the same way
+    g, spec = case
+    config = BnbConfig(bound=bound)
+    sol = qc.solve(g, spec, config)
+    order = qc.order_vertices(g)
+    for label, b in sol.node_bounds:
+        side = forced_completion(g, spec, order, label)
+        if side is None:
+            continue
+        cut = qc.cut_weight(g, side)
+        if g.is_integral:
+            assert b == cut, (label, b, cut)
+        else:
+            assert abs(b - cut) <= EPS, (label, b, cut)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qc.bnb, "forced_bit", lambda red: None)
+        relaxed = qc.solve(g, spec, config)
+    assert [label for label, _ in relaxed.node_bounds] == [label for label, _ in sol.node_bounds]
+    assert relaxed.node_count == sol.node_count
+    assert relaxed.value == sol.value
+    assert relaxed.bound_trace == sol.bound_trace
+    assert relaxed.incumbent_trace == sol.incumbent_trace
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 5), (2, 6)], ids=["bisect", "window"])
+def test_forced_nodes_get_no_relaxation(monkeypatch, lo, hi):
+    # every node but the leaves, the forced nodes and the infeasible children
+    # solves one relaxation; the forced ones are a sizeable share here
+    relaxed = []
+
+    def counting_solve_convex(rel, *args, **kwargs):
+        relaxed.append(rel.free.size)
+        return qc.solve_convex(rel, *args, **kwargs)
+
+    monkeypatch.setattr(qc.bnb, "solve_convex", counting_solve_convex)
+    g = random_graph(10, 0.6, 11, low=1, high=9)
+    spec = qc.PartitionSpec(lo, hi)
+    sol = qc.solve(g, spec)
+    assert sol.value == qc.brute_force(g, spec)[0]
+    order = qc.order_vertices(g)
+    forced = sum(forced_completion(g, spec, order, label) is not None
+                 for label, _ in sol.node_bounds)
+    assert forced > 0
+    assert len(relaxed) + forced == len(sol.node_bounds)
+
+
 def test_eig_variant_on_small_graph():
     g = path_graph(5)
     spec = qc.PartitionSpec(2, 3)

@@ -442,7 +442,7 @@ def test_a_negative_iteration_cap_is_rejected_by_both_solvers():
 
 
 @pytest.mark.parametrize("seed, case", _stationarity_cases())
-def test_residual_skip_matches_the_reference_where_the_confirm_fails(seed, case):
+def test_residual_skip_matches_the_reference_down_to_tol_1e_12(seed, case):
     # the residual skip leaves every solve unchanged down to tol 1e-12, where
     # residuals end close to tol and the skip's margin is narrowest
     qp, order = stationarity_case_qp(seed, case)
