@@ -3,8 +3,11 @@
 Branching fixes vertices to 0/1 in a fixed order (heaviest total incident
 weight first).  Every node is the subproblem of its label, a ReducedQp: the
 root is the problem in branching order and a child is its parent with one
-more vertex fixed.  Each open node carries a certified lower bound from the
-convex relaxation of its subproblem; the one with the smallest bound is
+more vertex fixed, built when the parent is expanded.  The search has one
+rule: a node with one completion (a leaf, or a window that forces every free
+vertex; forced_bit) is valued and never branched, and every other node is
+relaxed.  A relaxed node carries a certified lower bound from the convex
+relaxation of its subproblem; the open node with the smallest bound is
 expanded next.  Upper bounds come from the solver's own pieces: nonconvex
 gradient-projection descent started at the relaxation solution, then
 constructive rounding.  The local-minimum test of qpcut.optimality is not on
@@ -16,16 +19,15 @@ its certified bound (valid at any iterate) is above it; such a node, or any
 node whose bound is above the threshold, is pruned without a candidate.
 That candidate would cost at least the bound: with integral weights at
 least the incumbent, otherwise less than EPS below it, the slack the prune
-rule already grants.  A candidate is valued on its own subproblem, whose
-const and lin hold the fixed vertices' share of the cut; with integral
-weights every term is an integer below 2**53 (make_qp checks the sum), so
-that value is the cut weight exactly.  A leaf (every vertex fixed) is worth
-its const, which is also its bound.  So is a node whose window forces every
-free vertex (hi <= 0: all to 0; lo >= n: all to 1; forced_bit): its one
-completion's value is its exact bound and its candidate, and it gets no
-relaxation, which could only have certified that value.  It is pruned by the
-same rule, so the search decides as if it had been relaxed.  The full-length
-incumbent is assembled once, at exit.
+rule already grants.  A node with one completion takes that completion's
+value as its exact bound and its candidate, with no relaxation, which could
+only have certified that value; it meets the same prune test.  A candidate
+is valued on its own subproblem, whose const and lin hold the fixed
+vertices' share of the cut; with integral weights every term is an integer
+below 2**53 (make_qp checks the sum), so that value is the cut weight
+exactly.  Only a relaxed node can be expanded, and it leaves both children
+feasible, so the search never makes an infeasible subproblem.  The
+full-length incumbent is assembled once, at exit.
 
 Relaxations and descents stop by the defaults of qpcut.projgrad.
 all_relaxations_converged is true when every relaxation's SolveReport.stop
@@ -49,7 +51,7 @@ from .graph import PartitionSpec, WeightedGraph
 # unused here; perfbench/tracing.py traces these two names in this module
 from .optimality import check_local_min, descent_direction  # noqa: F401
 from .projgrad import descend_nonconvex, project, solve_convex
-from .qp import InfeasibleSubproblemError, ReducedQp, make_qp, reduce
+from .qp import ReducedQp, make_qp, reduce
 from .rounding import partition_from_binary, round_to_binary
 
 __all__ = [
@@ -121,12 +123,16 @@ def upper_bound_from(reduced: ReducedQp, x_start):
 
 
 def forced_bit(red: ReducedQp) -> float | None:
-    """The bit the window forces on every free vertex, or None if it leaves a choice.
+    """The bit of a subproblem's one completion, or None if it leaves a choice.
 
-    reduce has ruled out hi < 0 and lo > n, so hi <= 0 allows only the
-    all-zero completion and lo >= n only the all-one completion.
+    A node with one completion is valued and never branched; every other node
+    is relaxed and may be expanded.  reduce has ruled out hi < 0 and lo > n,
+    so a leaf (n == 0; its empty completion takes 0.0) and a window with
+    hi <= 0 allow only the all-zero completion, lo >= n only the all-one one.
+    None thus means n >= 1, hi >= 1 and lo <= n - 1, which leaves both
+    children feasible.
     """
-    if red.hi <= 0:
+    if red.n == 0 or red.hi <= 0:
         return 0.0
     if red.lo >= red.n:
         return 1.0
@@ -164,39 +170,31 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
     heap = []
     seq = 0
     status = "optimal"
-    # (label, parent subproblem, parent bound, start point); the root has no
-    # parent and starts at the center
-    batch = [((), None, -math.inf, np.full(qp.n, 0.5))]
+    # (label, subproblem, parent bound, start point); the root starts at the center
+    batch = [((), root, -math.inf, np.full(qp.n, 0.5))]
 
     while True:
-        for label, parent, parent_bound, x_start in batch:
+        for label, red, parent_bound, x_start in batch:
             node_count += 1
-            try:
-                red = root if parent is None else reduce(parent, label[-1:])
-            except InfeasibleSubproblemError:
-                continue
-            if not red.n:  # a leaf: every vertex is fixed
-                y, val = np.zeros(0), red.const
-                node_bounds.append((label, val))
+            cutoff = prune_threshold(best_val, integral)
+            bit = forced_bit(red)
+            if bit is not None:  # one completion: its value is the exact bound
+                y = np.full(red.n, bit)
+                bound = val = red.value(y)
             else:
-                cutoff = prune_threshold(best_val, integral)
-                bit = forced_bit(red)
-                if bit is not None:  # one completion: its value is the exact bound
-                    x = np.full(red.n, bit)
-                    bound = red.value(x)
-                else:
-                    x0 = project(x_start, red.fset)
-                    report, cert = solve_convex(build_relaxation(red, shift), x0, cutoff=cutoff)
-                    x, bound = report.x, max(cert, parent_bound)
-                    all_converged = all_converged and report.stop in ("converged", "cutoff")
-                node_bounds.append((label, bound))
-                if bound > cutoff:
-                    continue  # its candidate would cost at least the bound
-                y, val = (x, bound) if bit is not None else upper_bound_from(red, x)
+                x0 = project(x_start, red.fset)
+                report, cert = solve_convex(build_relaxation(red, shift), x0, cutoff=cutoff)
+                x, bound = report.x, max(cert, parent_bound)
+                all_converged = all_converged and report.stop in ("converged", "cutoff")
+            node_bounds.append((label, bound))
+            if bound > cutoff:
+                continue  # its candidate would cost at least the bound
+            if bit is None:
+                y, val = upper_bound_from(red, x)
             if val < best_val:
                 best, best_val = (label, red.free, y), val
                 incumbent_trace.append((node_count, val))
-            if red.n and bound <= prune_threshold(best_val, integral):
+            if bit is None and bound <= prune_threshold(best_val, integral):
                 heapq.heappush(heap, (bound, -len(label), seq, label, red, x))
                 seq += 1
 
@@ -212,9 +210,10 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
         bound, _, _, label, red, relax_x = heapq.heappop(heap)
         bound_trace.append(bound)
         if bound > prune_threshold(best_val, integral):
-            break  # best-first: every other open leaf is at least as bad
-        # a child's free vertices are its parent's minus the first one
-        batch = [(label + (bit,), red, bound, relax_x[1:]) for bit in (0, 1)]
+            break  # best-first: every other open node is at least as bad
+        # a node with a choice leaves both children feasible; each child's free
+        # vertices are its parent's minus the first one
+        batch = [(label + (b,), reduce(red, (b,)), bound, relax_x[1:]) for b in (0, 1)]
 
     # best-first: no open subtree holds anything below the smallest open bound
     lower_bound = best_val if status == "optimal" else min(heap[0][0], best_val)

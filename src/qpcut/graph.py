@@ -208,6 +208,8 @@ def _load_matrix_exchange(path) -> WeightedGraph:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2:
         raise GraphFormatError(f"{path}: expected a matrix")
+    if not np.all(np.isfinite(s)):  # NaN and inf would count as nonzero below
+        raise GraphFormatError(f"{path}: weights must be finite")
     if s.shape[0] == s.shape[1] and np.array_equal(s, s.T):
         pattern = (s != 0.0).astype(float)
     else:

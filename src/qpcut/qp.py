@@ -56,36 +56,26 @@ class FeasibleSet:
             raise ValueError("p and q must be 1-d arrays of equal length")
         if np.any(p > q):
             raise ValueError("need p <= q componentwise")
-        self._freeze(self.lo, self.hi, *_box_arrays(p, q))
+        lo, hi = float(self.lo), float(self.hi)
+        bounds = np.stack((q, p))
+        steps = np.repeat((1.0, -1.0), p.shape[0])
+        for arr in (p, q, bounds, steps):
+            arr.setflags(write=False)
+        qsum = float(q.sum())
+        fields = dict(p=p, q=q, lo=lo, hi=hi, qsum=qsum, bounds=bounds, steps=steps,
+                      is_empty=lo > qsum or hi < float(p.sum()) or lo > hi)
+        for name, val in fields.items():
+            object.__setattr__(self, name, val)
 
     @classmethod
     @functools.lru_cache(maxsize=4096)
     def unit_box(cls, n: int, lo: float, hi: float) -> FeasibleSet:
         """[0, 1]^n with the window [lo, hi].
 
-        Every unit box of one size shares its read-only arrays; only the
-        window and is_empty are set per instance.  The set is immutable, so
-        the instances themselves are cached per (n, lo, hi): every subproblem
-        with the same size and window gets the same one.
+        The set is immutable, so instances are cached per (n, lo, hi): every
+        subproblem with the same size and window gets the same one.
         """
-        fset = object.__new__(cls)
-        fset._freeze(lo, hi, *_unit_box_arrays(n))
-        return fset
-
-    def _freeze(self, lo, hi, p, q, bounds, steps, qsum, psum):
-        lo, hi = float(lo), float(hi)
-        fields = {
-            "p": p,
-            "q": q,
-            "lo": lo,
-            "hi": hi,
-            "qsum": qsum,
-            "is_empty": lo > qsum or hi < psum or lo > hi,
-            "bounds": bounds,
-            "steps": steps,
-        }
-        for name, val in fields.items():
-            object.__setattr__(self, name, val)
+        return cls(np.zeros(n), np.ones(n), lo, hi)
 
     @property
     def dim(self) -> int:
@@ -101,21 +91,6 @@ class FeasibleSet:
         s = np.add.reduce(x)
         slack = tol * max(1.0, self.dim)
         return self.lo - slack <= s <= self.hi + slack
-
-
-def _box_arrays(p, q):
-    """p, q, the bounds as rows [q, p] and the +1 / -1 steps, all read-only;
-    then sum(q) and sum(p)."""
-    bounds = np.stack((q, p))
-    steps = np.repeat((1.0, -1.0), p.shape[0])
-    for arr in (p, q, bounds, steps):
-        arr.setflags(write=False)
-    return p, q, bounds, steps, float(q.sum()), float(p.sum())
-
-
-@functools.cache  # one entry per dimension
-def _unit_box_arrays(n: int):
-    return _box_arrays(np.zeros(n), np.ones(n))
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,15 @@ def cut_instances(draw, max_n=10):
     return qc.WeightedGraph(w + w.T), qc.PartitionSpec(lo, lo + width)
 
 
+# Matrix Market files with a non-finite entry, which load_graph must reject
+NON_FINITE_MTX = {
+    # one NaN entry fails the symmetry test and used to load as K3 via S^T S
+    "nan-symmetric": "%%MatrixMarket matrix coordinate real symmetric\n3 3 1\n2 1 nan\n",
+    # an inf entry used to add edges through S^T S, with a RuntimeWarning
+    "inf-general": "%%MatrixMarket matrix coordinate real general\n2 3 2\n1 1 inf\n1 2 1.0\n",
+}
+
+
 def fd_gradient(fun, x, h=1e-6):
     g = np.zeros_like(x, dtype=float)
     for i in range(x.size):

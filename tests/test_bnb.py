@@ -270,19 +270,25 @@ def test_degenerate_sizes():
     assert soln.value == 0.0 and soln.v0 == []
 
 
-@pytest.mark.parametrize("n, dens, seed, l, u, nodes, infeasible", [
-    (7, 0.6, 1, 3, 3, 181, 56),
-    (8, 0.6, 2, 2, 5, 491, 36),
-])
-def test_expanding_every_node_skips_infeasible_children(
-        monkeypatch, n, dens, seed, l, u, nodes, infeasible):
-    # under the real prune rule no infeasible child is ever made: a node whose
-    # window leaves one completion has bound equal to its candidate's value,
-    # so it is never pushed.  With no pruning every non-leaf node is expanded,
-    # and the children past the window's edge must be skipped
+def nodes_without_pruning(n, spec):
+    """How many labels have every proper prefix leave a choice (a free vertex,
+    hi >= 1 and lo <= free - 1): the nodes of a search that expands every node
+    it may."""
+    count, stack = 0, [()]
+    while stack:
+        label = stack.pop()
+        count += 1
+        ones, free = sum(label), n - len(label)
+        if free and spec.u - ones >= 1 and spec.l - ones <= free - 1:
+            stack += [label + (0,), label + (1,)]
+    return count
+
+
+def expand_every_node(monkeypatch, g, spec, config=None):
+    """Solve with no pruning; return the solution and the labels reduce raised on."""
     raised = []
 
-    def counting_reduce(*args):
+    def recording_reduce(*args):
         try:
             return qc.reduce(*args)
         except qc.InfeasibleSubproblemError:
@@ -290,14 +296,41 @@ def test_expanding_every_node_skips_infeasible_children(
             raise
 
     monkeypatch.setattr(qc.bnb, "prune_threshold", lambda upper, integral: math.inf)
-    monkeypatch.setattr(qc.bnb, "reduce", counting_reduce)
+    monkeypatch.setattr(qc.bnb, "reduce", recording_reduce)
+    return qc.solve(g, spec, config), raised
+
+
+@pytest.mark.parametrize("n, dens, seed, l, u, nodes", [
+    (7, 0.6, 1, 3, 3, 69),
+    (8, 0.6, 2, 2, 5, 419),
+])
+def test_expanding_every_node_makes_no_infeasible_child(monkeypatch, n, dens, seed, l, u, nodes):
+    # with no pruning every node with a choice is expanded; such a node leaves
+    # both children feasible, so reduce never raises, and a node with one
+    # completion is valued and never branched
     g = qc.gen_random(n, dens, seed)
     spec = qc.PartitionSpec(l, u)
-    sol = qc.solve(g, spec)
+    sol, raised = expand_every_node(monkeypatch, g, spec)
+    assert raised == []
     assert sol.status == "optimal"
     assert sol.value == qc.brute_force(g, spec)[0]
-    assert sol.node_count == nodes
-    assert len(raised) == infeasible
+    assert sol.node_count == nodes_without_pruning(n, spec) == nodes
+
+
+@pytest.mark.parametrize("bound", ["sdp", "eig"])
+@settings(max_examples=60)
+@given(case=cut_instances())
+def test_expanding_every_node_is_exact_on_random_instances(bound, case):
+    g, spec = case
+    with pytest.MonkeyPatch.context() as mp:
+        sol, raised = expand_every_node(mp, g, spec, BnbConfig(bound=bound))
+    assert raised == []
+    assert sol.node_count == nodes_without_pruning(g.n, spec)
+    opt, _ = qc.brute_force(g, spec)
+    if g.is_integral:
+        assert sol.value == opt
+    else:
+        assert opt - 1e-9 <= sol.value <= opt + EPS
 
 
 def forced_completion(g, spec, order, label):
@@ -345,7 +378,7 @@ def test_forced_nodes_carry_their_completion_and_leave_the_search_unchanged(boun
 
 @pytest.mark.parametrize("lo, hi", [(5, 5), (2, 6)], ids=["bisect", "window"])
 def test_forced_nodes_get_no_relaxation(monkeypatch, lo, hi):
-    # every node but the leaves, the forced nodes and the infeasible children
+    # every node but those with one completion (leaves and forced nodes)
     # solves one relaxation; the forced ones are a sizeable share here
     relaxed = []
 

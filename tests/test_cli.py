@@ -7,6 +7,7 @@ import pytest
 
 import qpcut as qc
 from qpcut.cli import main
+from helpers import NON_FINITE_MTX
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +161,15 @@ def test_format_override(tmp_path, capsys):
 def test_solve_rejects_weights_without_exact_cut_sums(tmp_path, capsys, w12):
     p = tmp_path / "p3.el"
     p.write_text(f"3 2\n1 2 {w12}\n2 3 1\n")
+    assert main(["solve", "--input", str(p), "--l", "1", "--u", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("text", NON_FINITE_MTX.values(), ids=NON_FINITE_MTX.keys())
+def test_solve_rejects_non_finite_matrix_exchange_entries(tmp_path, capsys, text):
+    p = tmp_path / "bad.mtx"
+    p.write_text(text)
     assert main(["solve", "--input", str(p), "--l", "1", "--u", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""

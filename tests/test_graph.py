@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qpcut as qc
-from helpers import path_graph, complete_graph, random_graph
+from helpers import NON_FINITE_MTX, path_graph, complete_graph, random_graph
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -83,6 +83,14 @@ def test_matrix_exchange_parse_failure(tmp_path):
         qc.load_graph(p)
     with pytest.raises(qc.GraphFormatError):
         qc.load_graph(tmp_path / "noext")
+
+
+@pytest.mark.parametrize("text", NON_FINITE_MTX.values(), ids=NON_FINITE_MTX.keys())
+def test_matrix_exchange_rejects_non_finite_entries(tmp_path, text):
+    p = tmp_path / "bad.mtx"
+    p.write_text(text)
+    with pytest.raises(qc.GraphFormatError, match="weights must be finite"):
+        qc.load_graph(p)
 
 
 def test_import_loads_no_scipy():

@@ -198,5 +198,5 @@ def test_unit_boxes_of_one_size_share_their_arrays():
         want = qc.FeasibleSet(np.zeros(n), np.ones(n), lo, hi)
         for name in ("p", "q", "lo", "hi", "qsum", "is_empty", "bounds", "steps"):
             assert np.array_equal(getattr(box, name), getattr(want, name)), (n, lo, hi, name)
-        assert box.p is qc.FeasibleSet.unit_box(n, 0, n).p
         assert not (box.p.flags.writeable or box.bounds.flags.writeable)
+        assert box is qc.FeasibleSet.unit_box(n, lo, hi)
