@@ -12,10 +12,10 @@ over the feasible set; over the unit box (with or without an exact budget
 hyperplane) that underestimate is -lam . x with zero offset, because the
 smallest enclosing sphere of the scaled box has ||center||^2 = radius^2.
 
-Both shifts end in one certification tail (a uniform repair lift, then an
-attempted Cholesky factorization with a recorded tolerance shift), so the
-resulting bounds are sound regardless of how accurately the inner solvers
-converged.
+Both shifts end in one certification tail (a uniform repair lift, then a
+Cholesky factorization of Diag(lam) - M itself, with no tolerance), so the
+shift every node uses is the one certified, and the resulting bounds are
+sound regardless of how accurately the inner solvers converged.
 """
 
 from __future__ import annotations
@@ -43,14 +43,12 @@ class DcShift:
     """Certified diagonal shift making f(x) + x^T Diag(lam) x convex.
 
     sigma_shift returns a constant lam, sdp_shift the trace-minimized
-    diagonal.  psd_tol is the tolerance shift at which Diag(lam) - M passed
-    Cholesky (0.0 means it factored exactly).  warning is set when the SDP
-    barrier method stalled and the returned shift comes from repairing its
-    last iterate (still certified).
+    diagonal; either way Diag(lam) - M passed Cholesky as it stands.
+    warning is set when the SDP barrier method stalled and the returned
+    shift comes from repairing its last iterate (still certified).
     """
 
     lam: np.ndarray
-    psd_tol: float
     warning: bool = False
 
     def __post_init__(self):
@@ -77,33 +75,17 @@ def _check_sym(m) -> np.ndarray:
     return m
 
 
-def _psd_certificate(s: np.ndarray, scale: float):
-    """Smallest tolerance shift in {0, 1e-8 * scale} at which s + tol*I factors.
-
-    Returns None when neither factors; scale should be a norm of the matrix
-    the shift was built for, so the tolerance meets the <= 1e-8 * ||M|| bound.
-    """
-    n = s.shape[0]
-    if n == 0:
-        return 0.0
-    for tol in (0.0, 1e-8 * scale):
-        try:
-            np.linalg.cholesky(s + tol * np.eye(n) if tol else s)
-            return tol
-        except np.linalg.LinAlgError:
-            continue
-    return None
-
-
 def _certified(m: np.ndarray, lam: np.ndarray, warning: bool = False) -> DcShift:
     """Certify Diag(lam) - M as PSD, repairing lam first; the tail of both shifts.
 
     lam is lifted uniformly by the most negative eigenvalue of Diag(lam) - M
     (plus 1e-12 * scale) and clamped at 0; raising diagonal entries keeps a
-    PSD matrix PSD.  What rounding leaves is absorbed by Cholesky attempts at
-    steps of 1e-8 * scale.  A lam that is already certified comes back
-    unchanged.  A lam that overflows raises ValueError: Cholesky does not
-    reject non-finite entries, so it would pass uncertified.
+    PSD matrix PSD.  Then Diag(lam) - M itself must factor by Cholesky, with
+    no tolerance; what rounding leaves is absorbed by further lifts of
+    1e-8 * scale, so the lam returned is the lam certified.  A lam that is
+    already certified comes back unchanged.  A lam that overflows raises
+    ValueError: Cholesky does not reject non-finite entries, so it would
+    pass uncertified.
     """
     n = m.shape[0]
     scale = max(1.0, float(np.abs(m).sum(axis=1).max())) if n else 1.0
@@ -114,10 +96,11 @@ def _certified(m: np.ndarray, lam: np.ndarray, warning: bool = False) -> DcShift
     for _ in range(100):
         if not np.isfinite(lam).all():
             raise ValueError("the diagonal shift is not finite: matrix entries too large")
-        tol = _psd_certificate(np.diag(lam) - m, scale)
-        if tol is not None:
-            return DcShift(lam=lam, psd_tol=tol, warning=warning)
-        lam = lam + 1e-8 * scale
+        try:
+            np.linalg.cholesky(np.diag(lam) - m)
+            return DcShift(lam=lam, warning=warning)
+        except np.linalg.LinAlgError:
+            lam = lam + 1e-8 * scale
     raise RuntimeError("could not certify the diagonal shift")  # pragma: no cover
 
 
@@ -188,7 +171,7 @@ def sdp_shift(m) -> DcShift:
     m = _check_sym(m)
     n = m.shape[0]
     if n == 0:
-        return DcShift(lam=np.zeros(0), psd_tol=0.0)
+        return DcShift(lam=np.zeros(0))
     rowsum = float(np.abs(m).sum(axis=1).max())
     scale = max(1.0, rowsum)
     gap_tol = min(1e-7 * scale, 5e-7)
@@ -299,7 +282,11 @@ def certified_lower_bound(rel: ReducedQp, x, g=None, value=None) -> float:
     value = rel.value(x) passes both, as the gradient projection loop does
     from its one product M x by the code of rel.grad and rel.value, and gets
     the same float; otherwise both are taken exactly at x from one product.
+    A subproblem (lam None) raises ValueError: its objective is concave, so
+    the tangent plane overestimates it.
     """
+    if rel.lam is None:
+        raise ValueError("certified_lower_bound takes a relaxation, not a subproblem")
     x = np.asarray(x, dtype=float)
     if not rel.fset.contains(x, tol=1e-7):  # before f_L is evaluated at x
         raise ValueError("the reference point is infeasible")

@@ -102,7 +102,6 @@ def cmd_solve(args, graph: WeightedGraph, spec: PartitionSpec):
         "root_lb": sol.root_bound,
         "lower_bound": sol.lower_bound,
         "shift_warning": sol.shift.warning,
-        "psd_tol": sol.shift.psd_tol,
         "relaxations_converged": sol.all_relaxations_converged,
         "incumbent_trace": [[int(k), float(v)] for k, v in sol.incumbent_trace],
     }

@@ -13,6 +13,7 @@ and every edge list, read or generated, becomes a matrix through one
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -110,8 +111,11 @@ class PartitionSpec:
 def _matrix_from_edges(n, edges):
     """Dense symmetric matrix from (i, j, w) triples (0-based, i != j).
 
-    Parallel edges add up; only the toroidal generator with h or k equal to
-    2 makes any, and the edge-list reader rejects them before they get here.
+    The matrix is allocated before the first triple is read, so a generator
+    that passes a lazy stream fails at once on a size that cannot be
+    allocated, before it draws any weight.  Parallel edges add up; only the
+    toroidal generator with h or k equal to 2 makes any, and the edge-list
+    reader rejects them before they get here.
     """
     w = np.zeros((n, n))
     for i, j, val in edges:
@@ -290,7 +294,7 @@ def gen_toroidal(h: int, k: int, seed: int) -> WeightedGraph:
     if h < 2 or k < 2:
         raise ValueError("toroidal grid needs h >= 2 and k >= 2")
     rng = np.random.default_rng(seed)
-    edges = [(u, v, int(rng.integers(1, 11))) for u, v in _grid_pairs(h, k, wrap=True)]
+    edges = ((u, v, int(rng.integers(1, 11))) for u, v in _grid_pairs(h, k, wrap=True))
     return WeightedGraph(_matrix_from_edges(h * k, edges))
 
 
@@ -299,7 +303,7 @@ def gen_planar(h: int, k: int, seed: int) -> WeightedGraph:
     if h < 1 or k < 1 or h * k < 2:
         raise ValueError("planar grid needs at least two vertices")
     rng = np.random.default_rng(seed)
-    edges = [(u, v, int(rng.integers(1, 11))) for u, v in _grid_pairs(h, k, wrap=False)]
+    edges = ((u, v, int(rng.integers(1, 11))) for u, v in _grid_pairs(h, k, wrap=False))
     return WeightedGraph(_matrix_from_edges(h * k, edges))
 
 
@@ -309,20 +313,21 @@ def gen_mixed(h: int, k: int, seed: int) -> WeightedGraph:
 
     Grid-edge weights are drawn first (row-major edge order), then the
     remaining pairs in lexicographic order, from a single seeded stream.
+    A pair i < j is a grid edge when j is below i (j - i == k) or right of
+    it in the same row (j - i == 1 and j does not start a row).
     """
     if h < 1 or k < 1 or h * k < 2:
         raise ValueError("mixed grid needs at least two vertices")
     n = h * k
     rng = np.random.default_rng(seed)
-    edges = [(u, v, int(rng.integers(1, 101))) for u, v in _grid_pairs(h, k, wrap=False)]
-    grid = {(u, v) for u, v, _ in edges}
-    edges += [
+    grid = ((u, v, int(rng.integers(1, 101))) for u, v in _grid_pairs(h, k, wrap=False))
+    rest = (
         (i, j, int(rng.integers(1, 11)))
         for i in range(n)
         for j in range(i + 1, n)
-        if (i, j) not in grid
-    ]
-    return WeightedGraph(_matrix_from_edges(n, edges))
+        if not (j - i == k or (j - i == 1 and j % k))
+    )
+    return WeightedGraph(_matrix_from_edges(n, itertools.chain(grid, rest)))
 
 
 def gen_random(n: int, density: float, seed: int) -> WeightedGraph:
@@ -334,11 +339,12 @@ def gen_random(n: int, density: float, seed: int) -> WeightedGraph:
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                edges.append((i, j, int(rng.integers(1, 11))))
+    edges = (
+        (i, j, int(rng.integers(1, 11)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    )
     return WeightedGraph(_matrix_from_edges(n, edges))
 
 

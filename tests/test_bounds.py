@@ -2,11 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import qpcut as qc
-from qpcut import bounds
 from qpcut.qp import InfeasibleSubproblemError
-from helpers import path_graph, random_graph
+from helpers import cut_instances, path_graph, random_graph
 
 
 def p3_qp(l=1, u=1):
@@ -36,7 +36,7 @@ def test_sigma_shift_is_certified_upper_bound():
         sh = qc.sigma_shift(m)
         lam_max = float(np.linalg.eigvalsh(m)[-1])
         assert np.all(sh.lam >= max(0.0, lam_max) - 1e-9)
-        assert sh.psd_tol <= 1e-8 * max(1.0, np.abs(m).sum(axis=1).max())
+        np.linalg.cholesky(np.diag(sh.lam) - m)  # factors with no tolerance
 
 
 def test_sdp_shift_examples():
@@ -72,8 +72,7 @@ def test_sdp_shift_near_the_float_range_repairs_with_warning(w12):
     with np.errstate(over="ignore"):
         sh = qc.sdp_shift(m)
     assert isinstance(sh, qc.DcShift) and sh.warning
-    scale = max(1.0, float(np.abs(m).sum(axis=1).max()))
-    assert bounds._psd_certificate(np.diag(sh.lam) - m, scale) is not None
+    np.linalg.cholesky(np.diag(sh.lam) - m)  # factors with no tolerance
 
 
 _NON_FINITE = {
@@ -142,9 +141,22 @@ def test_sdp_dominance_and_certificates():
         assert np.all(sdp.lam >= 0.0)
         scale = max(1.0, np.abs(m).sum(axis=1).max())
         for sh in (eig, sdp):
-            assert sh.psd_tol <= 1e-8 * scale
             s = np.diag(sh.lam) - m
+            np.linalg.cholesky(s)  # factors with no tolerance
             assert float(np.linalg.eigvalsh(s)[0]) >= -1.1e-8 * scale
+
+
+@settings(max_examples=60)
+@given(instance=cut_instances())
+def test_both_shifts_are_certified_with_no_tolerance(instance):
+    # the lam every node relaxation uses is the one that factored: a shift
+    # certified only up to a tolerance would leave the surrogate nonconvex
+    g, spec = instance
+    m = qc.make_qp(g, spec).M
+    for shift in (qc.sigma_shift, qc.sdp_shift):
+        lam = shift(m).lam
+        assert np.all(lam >= 0.0)
+        np.linalg.cholesky(np.diag(lam) - m)
 
 
 def test_affine_underestimate_box():
@@ -303,6 +315,19 @@ def test_certified_lower_bound_rejects_infeasible():
     rel = qc.build_relaxation(qc.reduce(qp, ()), qc.sdp_shift(qp.M))
     with pytest.raises(ValueError):
         qc.certified_lower_bound(rel, np.ones(3))
+
+
+def test_certified_lower_bound_rejects_a_subproblem():
+    # a subproblem's objective is concave, so its tangent plane lies above
+    # it: at the projected center of this bisection the tangent bound was
+    # 74.5 against an optimum of 30
+    g = qc.gen_random(10, 0.6, 0)
+    red = qc.reduce(qc.make_qp(g, qc.PartitionSpec(5, 5)), ())
+    x = qc.project(np.full(10, 0.5), red.fset)
+    with pytest.raises(ValueError, match="relaxation"):
+        qc.certified_lower_bound(red, x)
+    with pytest.raises(ValueError, match="relaxation"):
+        qc.solve_convex(red, x)
 
 
 def test_bound_tight_at_exact_minimizer():

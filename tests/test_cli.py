@@ -47,7 +47,7 @@ def test_solve_reports_solver_health(capsys):
     qp = qc.make_qp(qc.gen_toroidal(3, 4, seed=1), qc.PartitionSpec(6, 6))
     shift = qc.sdp_shift(qp.M)
     assert rep["shift_warning"] is shift.warning is False
-    assert rep["psd_tol"] == shift.psd_tol
+    assert "psd_tol" not in rep  # the shift factors with no tolerance, so none is reported
     assert rep["relaxations_converged"] is True
 
 
@@ -229,8 +229,12 @@ def test_solve_rejects_bad_limits(capsys, flags):
         # the report file cannot be written: nothing may reach stdout either
         ["oracle", "--gen", "random:6x0.5", "--bisection", "--json", "{tmp}/missing/x.json"],
         # too large to allocate: each dense weight matrix asks for petabytes,
-        # so the allocation fails at once
+        # so the allocation fails at once, before any weight is drawn
         ["solve", "--gen", "debruijn:24", "--bisection"],
+        ["solve", "--gen", "random:20000000x0.1", "--bisection"],
+        ["solve", "--gen", "toroidal:5000x5000", "--bisection"],
+        ["solve", "--gen", "planar:5000x5000", "--bisection"],
+        ["solve", "--gen", "mixed:5000x5000", "--bisection"],
         ["solve", "--input", "{huge}", "--l", "1", "--u", "1"],
         ["solve", "--gen", "random:8x0.5", "--bisection", "--l", "1"],  # two budgets
         ["solve", "--gen", "random:6x0.5", "--bisection", "--seed", "-3"],
@@ -243,7 +247,7 @@ def test_solve_rejects_bad_limits(capsys, flags):
     ids=["no-input", "bad-gen", "unknown-gen", "no-budget", "short-point", "table-point",
          "empty-point", "infeasible-point", "nan-point", "bad-bound",
          "bad-max-nodes", "solve-tol", "bound-tol", "unwritable-json", "huge-gen",
-         "huge-input", "bisection-and-l", "negative-seed", "overflow-solve",
+         "huge-random", "huge-toroidal", "huge-planar", "huge-mixed", "huge-input", "bisection-and-l", "negative-seed", "overflow-solve",
          "overflow-bound", "overflow-check", "overflow-oracle"],
 )
 def test_bad_input_prints_error_and_exits_1(tmp_path, capsys, argv):
