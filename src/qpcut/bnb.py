@@ -166,9 +166,9 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
     bound_trace = []
     best, best_val = None, math.inf  # best: (label, free vertices, their bits)
     all_converged = True
-    # heap entries: (bound, -depth, seq, label, red, relax_x); seq breaks ties FIFO
+    cutoff = prune_threshold(best_val, integral)  # reset when the incumbent improves
+    # heap entries: (bound, -depth, node_count, label, red, relax_x); node_count breaks ties FIFO
     heap = []
-    seq = 0
     status = "optimal"
     # (label, subproblem, parent bound, start point); the root starts at the center
     batch = [((), root, -math.inf, np.full(qp.n, 0.5))]
@@ -176,7 +176,6 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
     while True:
         for label, red, parent_bound, x_start in batch:
             node_count += 1
-            cutoff = prune_threshold(best_val, integral)
             bit = forced_bit(red)
             if bit is not None:  # one completion: its value is the exact bound
                 y = np.full(red.n, bit)
@@ -193,10 +192,10 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
                 y, val = upper_bound_from(red, x)
             if val < best_val:
                 best, best_val = (label, red.free, y), val
+                cutoff = prune_threshold(best_val, integral)
                 incumbent_trace.append((node_count, val))
-            if bit is None and bound <= prune_threshold(best_val, integral):
-                heapq.heappush(heap, (bound, -len(label), seq, label, red, x))
-                seq += 1
+            if bit is None and bound <= cutoff:
+                heapq.heappush(heap, (bound, -len(label), node_count, label, red, x))
 
         if not heap:
             break
@@ -209,7 +208,7 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
             break
         bound, _, _, label, red, relax_x = heapq.heappop(heap)
         bound_trace.append(bound)
-        if bound > prune_threshold(best_val, integral):
+        if bound > cutoff:
             break  # best-first: every other open node is at least as bad
         # a node with a choice leaves both children feasible; each child's free
         # vertices are its parent's minus the first one

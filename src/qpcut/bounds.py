@@ -62,7 +62,8 @@ class DcShift:
 # ----------------------------------------------------------------------------
 
 
-def _check_sym(m) -> np.ndarray:
+def _check_sym(m) -> tuple[np.ndarray, float]:
+    """m as floats and its largest absolute row sum, once m is square, symmetric, finite."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -72,23 +73,23 @@ def _check_sym(m) -> np.ndarray:
         raise ValueError("matrix entries and absolute row sums must be finite")
     if not np.allclose(m, m.T, rtol=0.0, atol=0.0):
         raise ValueError("matrix must be symmetric")
-    return m
+    return m, float(rowsum.max()) if rowsum.size else 0.0
 
 
-def _certified(m: np.ndarray, lam: np.ndarray, warning: bool = False) -> DcShift:
+def _certified(m: np.ndarray, lam: np.ndarray, rowmax: float, warning: bool = False) -> DcShift:
     """Certify Diag(lam) - M as PSD, repairing lam first; the tail of both shifts.
 
     lam is lifted uniformly by the most negative eigenvalue of Diag(lam) - M
-    (plus 1e-12 * scale) and clamped at 0; raising diagonal entries keeps a
-    PSD matrix PSD.  Then Diag(lam) - M itself must factor by Cholesky, with
-    no tolerance; what rounding leaves is absorbed by further lifts of
-    1e-8 * scale, so the lam returned is the lam certified.  A lam that is
-    already certified comes back unchanged.  A lam that overflows raises
-    ValueError: Cholesky does not reject non-finite entries, so it would
-    pass uncertified.
+    (plus 1e-12 * scale, scale = max(1, rowmax), rowmax from _check_sym) and
+    clamped at 0; raising diagonal entries keeps a PSD matrix PSD.  Then
+    Diag(lam) - M itself must factor by Cholesky, with no tolerance; what
+    rounding leaves is absorbed by further lifts of 1e-8 * scale, so the lam
+    returned is the lam certified.  A lam that is already certified comes
+    back unchanged.  A lam that overflows raises ValueError: Cholesky does
+    not reject non-finite entries, so it would pass uncertified.
     """
     n = m.shape[0]
-    scale = max(1.0, float(np.abs(m).sum(axis=1).max())) if n else 1.0
+    scale = max(1.0, rowmax)
     eigmin = float(np.linalg.eigvalsh(np.diag(lam) - m)[0]) if n else 0.0
     if eigmin < 0.0:
         lam = lam + (abs(eigmin) + 1e-12 * scale)
@@ -112,8 +113,8 @@ def sigma_shift(m) -> DcShift:
     non-finite entry or absolute row sum, or one whose shift overflows,
     raises ValueError.
     """
-    m = _check_sym(m)
-    return _certified(m, np.zeros(m.shape[0]))
+    m, rowmax = _check_sym(m)
+    return _certified(m, np.zeros(m.shape[0]), rowmax)
 
 
 def _center(m, lam, t, barrier_pos):
@@ -168,15 +169,14 @@ def sdp_shift(m) -> DcShift:
     shared with sigma_shift, so the shift is certified either way.  Non-finite
     input raises ValueError, as in sigma_shift.
     """
-    m = _check_sym(m)
+    m, rowmax = _check_sym(m)
     n = m.shape[0]
     if n == 0:
         return DcShift(lam=np.zeros(0))
-    rowsum = float(np.abs(m).sum(axis=1).max())
-    scale = max(1.0, rowsum)
+    scale = max(1.0, rowmax)
     gap_tol = min(1e-7 * scale, 5e-7)
     barrier_pos = bool(np.min(np.diag(m)) < 0.0)
-    lam = np.full(n, rowsum + 1.0)
+    lam = np.full(n, rowmax + 1.0)
     t = 1.0 / scale
     warning = True  # until the central path reaches gap_tol
     for _ in range(80):
@@ -187,7 +187,7 @@ def sdp_shift(m) -> DcShift:
             warning = False
             break
         t *= 10.0
-    return _certified(m, lam, warning)
+    return _certified(m, lam, rowmax, warning)
 
 
 # ----------------------------------------------------------------------------
@@ -205,12 +205,13 @@ def affine_underestimate(lam, fset: FeasibleSet):
     c = Lam^(1/2) 1 / 2 and r^2 = sum(lam) / 4 = ||c||^2, so the constant
     term vanishes and the slope in x is -lam.  Slicing by an exact budget
     hyperplane gives the same affine function on the slice (the extra
-    constants cancel).  Zero shift entries get zero slope.
+    constants cancel).  Zero shift entries get zero slope; a negative one
+    raises ValueError, since -lam_i x_i lies above -lam_i x_i^2 inside [0, 1].
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (fset.dim,):
         raise ValueError("shift dimension does not match the set")
-    if np.any(lam < -1e-12):
+    if np.any(lam < 0.0):
         raise ValueError("shift entries must be nonnegative")
     return -lam, 0.0
 
@@ -222,9 +223,9 @@ def build_relaxation(reduced: ReducedQp, shift: DcShift) -> ReducedQp:
     (slope, offset) the affine underestimate of -x^T Diag(lam) x, is
     f_L <= f on the feasible set and is again a quadratic
     (const + offset) + (lin + slope) . x - x^T (M - Diag(lam)) x
-    on the same coordinates, window and feasible set.  The diagonal term is
-    carried as ReducedQp.lam rather than formed, so the relaxation's M is
-    the subproblem's own (no O(n^2) copy per node).  Its Hessian
+    on the same coordinates and window, hence the same (cached) fset.  The
+    diagonal term is carried as ReducedQp.lam rather than formed, so the
+    relaxation's M is the subproblem's own (no O(n^2) copy).  Its Hessian
     2 (Diag(lam) - M) is PSD: lam is the shift certified for the full
     matrix, restricted to the free coordinates (in the subproblem's order),
     and a principal submatrix of a PSD matrix is PSD, so no per-node
@@ -236,7 +237,7 @@ def build_relaxation(reduced: ReducedQp, shift: DcShift) -> ReducedQp:
     slope, offset = affine_underestimate(lam, reduced.fset)
     return ReducedQp(
         free=reduced.free, M=reduced.M, lin=reduced.lin + slope,
-        const=reduced.const + offset, lo=reduced.lo, hi=reduced.hi, fset=reduced.fset, lam=lam,
+        const=reduced.const + offset, lo=reduced.lo, hi=reduced.hi, lam=lam,
     )
 
 

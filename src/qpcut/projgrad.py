@@ -130,7 +130,7 @@ def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
     return y
 
 
-def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
+def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     """Gradient projection on a quadratic problem from x0; returns (report, bound).
 
     The Hessian of const + lin . x - x^T (M - Diag(lam)) x is -2 times
@@ -156,9 +156,9 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
     projection, and the loop stops with stop 'cutoff' when it is above the
     cutoff, returning that bound.  No certified bound exceeds min f_L, so
     the checks end once f_L(x) is at most the cutoff.  They never alter the
-    iterates.  With certify (a relaxation too), a loop that stops for any
-    other reason returns the certified bound at its last iterate; otherwise
-    the bound is None.
+    iterates.  A relaxation (problem.lam set) that stops for any other reason
+    returns the certified bound at its last iterate; a subproblem returns
+    None.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
@@ -213,7 +213,7 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, certify=False):
         # BB step s.s / s.y with s = t d and y = t Hd
         alpha = dd / b if t * t * b > 1e-30 else ALPHA_MAX
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
-    if certify and stop != "cutoff":
+    if problem.lam is not None and stop != "cutoff":
         bound = certified_lower_bound(problem, x, g, problem.value_from(x, mx))
     return SolveReport(x=x, iterations=iterations, stop=stop), bound
 
@@ -227,11 +227,14 @@ def solve_convex(rel: ReducedQp, x0=None, tol: float = RESIDUAL_TOL,
     when the iteration cap is hit.  Given a cutoff, the solve may stop early
     with report.stop == 'cutoff'; the bound returned is then the one that
     passed the cutoff.  The checks never alter the iterates, so a solve that
-    no check stops returns what cutoff=None does.
+    no check stops returns what cutoff=None does.  A subproblem (lam None),
+    which has no certified bound, raises ValueError before any iteration.
     """
+    if rel.lam is None:
+        raise ValueError("solve_convex takes a relaxation, not a subproblem")
     if x0 is None:
         x0 = project(np.full(rel.n, 0.5), rel.fset)
-    return _gp_loop(rel, x0, tol, max_iter, cutoff, certify=True)
+    return _gp_loop(rel, x0, tol, max_iter, cutoff)
 
 
 def descend_nonconvex(problem, x0, tol: float = RESIDUAL_TOL,

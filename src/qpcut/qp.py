@@ -104,9 +104,8 @@ class ReducedQp:
     derives the rest; for those lam is None (no diagonal term).
     build_relaxation sets lam, so a relaxation keeps its subproblem's M (a
     view of the parent's) and matvec forms (M - Diag(lam)) x as
-    M x - lam * x.  fset is built once here when not given, and
-    build_relaxation passes it on, so the node relaxation (same coordinates
-    and window) shares it.
+    M x - lam * x.  fset, the unit box cut by the window, is derived from
+    n, lo and hi, so it cannot disagree with them.
     """
 
     free: np.ndarray
@@ -115,16 +114,16 @@ class ReducedQp:
     const: float
     lo: int
     hi: int
-    fset: FeasibleSet | None = field(default=None, repr=False, compare=False)
     lam: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.fset is None:
-            object.__setattr__(self, "fset", FeasibleSet.unit_box(self.n, self.lo, self.hi))
 
     @property
     def n(self) -> int:
         return self.free.shape[0]
+
+    @property
+    def fset(self) -> FeasibleSet:
+        """The unit box cut by the window; cached, so a subproblem and its relaxation share it."""
+        return FeasibleSet.unit_box(self.n, self.lo, self.hi)
 
     def matvec(self, x) -> np.ndarray:
         """(M - Diag(lam)) x."""

@@ -25,16 +25,8 @@ __all__ = ["round_to_binary", "partition_from_binary"]
 SNAP_TOL = 1e-9
 
 
-def _snap(x):
-    near0 = np.abs(x) <= SNAP_TOL
-    near1 = np.abs(x - 1.0) <= SNAP_TOL
-    x[near0] = 0.0
-    x[near1] = 1.0
-    return x
-
-
 def _snap_at(x, moved):
-    """_snap on the coordinates in moved only, in place."""
+    """Set each x[k], k in moved, within SNAP_TOL of 0 or 1 to that bound, in place."""
     for k in moved:
         if abs(x[k]) <= SNAP_TOL:
             x[k] = 0.0
@@ -55,7 +47,8 @@ def round_to_binary(problem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).copy()
     if not fset.contains(x, tol=1e-7):
         raise ValueError("input point is infeasible")
-    x = _snap(np.clip(x, 0.0, 1.0))
+    x = np.clip(x, 0.0, 1.0)
+    _snap_at(x, range(problem.n))
     mx = problem.matvec(x)
     fval = problem.value_from(x, mx)
     guard = 4 * problem.n + 8

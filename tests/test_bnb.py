@@ -245,6 +245,16 @@ def test_node_limit_and_time_limit_statuses():
     assert sol2.status == "time_limit"
 
 
+def test_zero_time_limit_returns_promptly_at_n_120():
+    # the limit is checked only between expansions, so this times the root
+    # phases (shift, ordering, root relaxation and candidate) at n = 120
+    g = qc.gen_random(120, 0.3, 1)
+    sol = qc.solve(g, qc.PartitionSpec(60, 60), BnbConfig(time_limit=0.0))
+    assert sol.status == "time_limit" and sol.node_count == 1
+    assert sol.lower_bound <= sol.value
+    assert sol.wall_time < 2.0
+
+
 @pytest.mark.parametrize("max_nodes", range(1, 7))
 def test_node_limit_never_counts_more_than_max_nodes(max_nodes):
     # each expansion counts two children, so an even limit must stop one short

@@ -173,6 +173,11 @@ def test_affine_underestimate_box():
     zero, off0 = qc.affine_underestimate(np.zeros(n), fs)
     assert np.array_equal(zero, np.zeros(n)) and off0 == 0.0
 
+    # -lam_i x_i lies above -lam_i x_i^2 inside [0, 1] when lam_i < 0, however
+    # small; every certified shift is >= 0 exactly
+    with pytest.raises(ValueError, match="nonnegative"):
+        qc.affine_underestimate(np.array([1.0, -1e-13, 0.0, 0.0, 0.0]), fs)
+
 
 def test_affine_underestimate_sampled_validity():
     lam = np.array([2.0, 3.0, 2.0])
@@ -317,7 +322,7 @@ def test_certified_lower_bound_rejects_infeasible():
         qc.certified_lower_bound(rel, np.ones(3))
 
 
-def test_certified_lower_bound_rejects_a_subproblem():
+def test_certified_lower_bound_rejects_a_subproblem(monkeypatch):
     # a subproblem's objective is concave, so its tangent plane lies above
     # it: at the projected center of this bisection the tangent bound was
     # 74.5 against an optimum of 30
@@ -326,8 +331,18 @@ def test_certified_lower_bound_rejects_a_subproblem():
     x = qc.project(np.full(10, 0.5), red.fset)
     with pytest.raises(ValueError, match="relaxation"):
         qc.certified_lower_bound(red, x)
-    with pytest.raises(ValueError, match="relaxation"):
-        qc.solve_convex(red, x)
+    # solve_convex rejects it before its first iteration, with or without x0
+    calls = []
+
+    def counting_project(*args):
+        calls.append(args)
+        return qc.project(*args)
+
+    monkeypatch.setattr(qc.projgrad, "project", counting_project)
+    for x0 in (x, None):
+        with pytest.raises(ValueError, match="relaxation"):
+            qc.solve_convex(red, x0)
+    assert calls == []
 
 
 def test_bound_tight_at_exact_minimizer():

@@ -70,6 +70,17 @@ def test_bound_command(capsys):
     assert rep["lb2"] <= rep["opt"] + 1e-6
 
 
+def test_bound_oracle_rejects_a_large_instance_before_solving(capsys, monkeypatch):
+    # the oracle's n <= 24 guard fails first, so neither root solve is paid for
+    def no_solve(*args, **kwargs):
+        raise AssertionError("bound --oracle solved an instance the oracle rejects")
+
+    monkeypatch.setattr(qc.cli, "solve", no_solve)
+    assert main(["bound", "--gen", "random:25x0.3", "--seed", "1", "--bisection", "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_generate_writes_loadable_file(tmp_path, capsys):
     out = tmp_path / "deb.el"
     code, rep = run_cli(capsys, "generate", "--gen", "debruijn:5", "--out", str(out))

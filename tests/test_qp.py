@@ -130,6 +130,28 @@ def test_relaxation_keeps_the_subproblem_matrix():
         qc.reduce(rel, (1,))
 
 
+def test_feasible_set_is_derived_from_the_window():
+    # fset is the unit box cut by the window, never a separate value that
+    # could disagree with lo and hi
+    m = np.ones((3, 3))
+    with pytest.raises(TypeError):
+        qc.ReducedQp(free=np.arange(3), M=m, lin=m.sum(axis=1), const=0.0, lo=1, hi=1,
+                     fset=qc.FeasibleSet.unit_box(3, 0, 3))
+    g = random_graph(7, 0.6, 2)
+    qp = qc.make_qp(g, qc.PartitionSpec(2, 4))
+    stack, checked = [qc.reduce(qp, (), qc.order_vertices(g))], 0
+    while stack:
+        red = stack.pop()
+        assert red.fset is qc.FeasibleSet.unit_box(red.n, red.lo, red.hi)
+        checked += 1
+        for b in ((0,), (1,)) if red.n else ():
+            try:
+                stack.append(qc.reduce(red, b))
+            except InfeasibleSubproblemError:
+                pass
+    assert checked > 50
+
+
 def test_reduce_fix_middle_vertex():
     qp = qc.make_qp(path_graph(3), qc.PartitionSpec(1, 2))
     red = qc.reduce(qp, (1,), order=[1, 0, 2])
