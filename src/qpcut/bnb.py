@@ -21,12 +21,19 @@ That candidate would cost at least the bound: with integral weights at
 least the incumbent, otherwise less than EPS below it, the slack the prune
 rule already grants.  A node with one completion takes that completion's
 value as its exact bound and its candidate, with no relaxation, which could
-only have certified that value; it meets the same prune test.  A candidate
-is valued on its own subproblem, whose const and lin hold the fixed
-vertices' share of the cut; with integral weights every term is an integer
-below 2**53 (make_qp checks the sum), so that value is the cut weight
-exactly.  Only a relaxed node can be expanded, and it leaves both children
-feasible, so the search never makes an infeasible subproblem.  The
+only have certified that value; it meets the same prune test.  A relaxed
+node that is not pruned gets a candidate only at depth 0 or a power of two
+(0, 1, 2, 4, 8, ..., the schedule on which a relaxation checks its cutoff),
+and is queued either way.  The root thus always gets one, so a search never
+ends without an incumbent.  The incumbent serves only to prune: every
+reported value is a candidate's exact value, and neither lower_bound nor
+best-first termination depends on which nodes built candidates, so the
+schedule changes when the optimum is found, never whether it is proved.  A
+candidate is valued on its own subproblem, whose const and lin hold the
+fixed vertices' share of the cut; with integral weights every term is an
+integer below 2**53 (make_qp checks the sum), so that value is the cut
+weight exactly.  Only a relaxed node can be expanded, and it leaves both
+children feasible, so the search never makes an infeasible subproblem.  The
 full-length incumbent is assembled once, at exit.
 
 Relaxations and descents stop by the defaults of qpcut.projgrad.
@@ -116,6 +123,8 @@ def upper_bound_from(reduced: ReducedQp, x_start):
 
     Descend the nonconvex objective from x_start, then round constructively.
     Returns (y, value); the value never exceeds the objective at x_start.
+    solve calls it at relaxed nodes its bound does not prune, and only at
+    depth 0 or a power of two.
     """
     report = descend_nonconvex(reduced, x_start)
     y = round_to_binary(reduced, report.x)
@@ -176,6 +185,7 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
     while True:
         for label, red, parent_bound, x_start in batch:
             node_count += 1
+            depth = len(label)
             bit = forced_bit(red)
             if bit is not None:  # one completion: its value is the exact bound
                 y = np.full(red.n, bit)
@@ -185,17 +195,18 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
                 report, cert = solve_convex(build_relaxation(red, shift), x0, cutoff=cutoff)
                 x, bound = report.x, max(cert, parent_bound)
                 all_converged = all_converged and report.stop in ("converged", "cutoff")
+                val = math.inf  # no candidate unless the depth is 0 or a power of two
             node_bounds.append((label, bound))
             if bound > cutoff:
                 continue  # its candidate would cost at least the bound
-            if bit is None:
+            if bit is None and not depth & (depth - 1):
                 y, val = upper_bound_from(red, x)
             if val < best_val:
                 best, best_val = (label, red.free, y), val
                 cutoff = prune_threshold(best_val, integral)
                 incumbent_trace.append((node_count, val))
             if bit is None and bound <= cutoff:
-                heapq.heappush(heap, (bound, -len(label), node_count, label, red, x))
+                heapq.heappush(heap, (bound, -depth, node_count, label, red, x))
 
         if not heap:
             break

@@ -137,7 +137,9 @@ def load_graph(path, format=None) -> WeightedGraph:
     format 'mtx' is Matrix Market coordinate (real/integer/pattern,
     symmetric or general).  A symmetric matrix S becomes the 0/1 adjacency
     pattern of its off-diagonal support; a nonsymmetric (possibly
-    rectangular) S becomes the 0/1 off-diagonal pattern of S^T S.
+    rectangular) S becomes the 0/1 off-diagonal pattern of S^T S.  A complex
+    matrix, a non-finite entry and an S^T S that overflows raise
+    GraphFormatError.
 
     When format is None it is inferred from the file extension.
     """
@@ -209,6 +211,8 @@ def _load_matrix_exchange(path) -> WeightedGraph:
         raise GraphFormatError(f"{path}: {exc}") from None
     if hasattr(s, "toarray"):  # a scipy sparse matrix
         s = s.toarray()
+    if np.iscomplexobj(s):  # the cast to float would drop imaginary parts
+        raise GraphFormatError(f"{path}: complex matrices are not supported")
     s = np.asarray(s, dtype=float)
     if s.ndim != 2:
         raise GraphFormatError(f"{path}: expected a matrix")
@@ -217,7 +221,10 @@ def _load_matrix_exchange(path) -> WeightedGraph:
     if s.shape[0] == s.shape[1] and np.array_equal(s, s.T):
         pattern = (s != 0.0).astype(float)
     else:
-        t = s.T @ s
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = s.T @ s
+        if not np.all(np.isfinite(t)):  # inf - inf would read as an edge
+            raise GraphFormatError(f"{path}: the S^T S pattern overflows; weights too large")
         pattern = (t != 0.0).astype(float)
     np.fill_diagonal(pattern, 0.0)
     return WeightedGraph(pattern)

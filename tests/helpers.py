@@ -99,6 +99,24 @@ NON_FINITE_MTX = {
     "inf-general": "%%MatrixMarket matrix coordinate real general\n2 3 2\n1 1 inf\n1 2 1.0\n",
 }
 
+# Matrix Market files with finite entries that no real graph stands for, which
+# load_graph must reject; each maps to (text, the error message it must match)
+UNREADABLE_MTX = {
+    # the cast to float dropped the imaginary part, with a ComplexWarning, and
+    # with it edge 1-2
+    "complex-symmetric": (
+        "%%MatrixMarket matrix coordinate complex symmetric\n3 3 2\n2 1 0 2\n3 2 1 0\n",
+        "complex",
+    ),
+    # entry (0, 1) of S^T S is exactly 0 but was formed as inf - inf = nan, an
+    # edge that the same matrix scaled to +-1 does not have
+    "overflow-general": (
+        "%%MatrixMarket matrix coordinate real general\n2 3 4\n"
+        "1 1 1e200\n2 1 1e200\n1 2 1e200\n2 2 -1e200\n",
+        "overflows",
+    ),
+}
+
 
 def fd_gradient(fun, x, h=1e-6):
     g = np.zeros_like(x, dtype=float)

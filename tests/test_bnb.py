@@ -442,3 +442,60 @@ def test_bound_first_search_is_exact_and_sound(bound, case):
         sub_opt = levels[len(label)][label_key(label)]
         assert b <= sub_opt + 1e-6 * (1 + abs(sub_opt)), (label, b, sub_opt)
     assert sol.lower_bound == sol.value
+
+
+def record_candidate_depths(monkeypatch, n):
+    """Wrap qpcut.bnb.upper_bound_from; the returned list receives the depth
+    (fixed vertices) of every node it is called at."""
+    depths = []
+
+    def recording_upper_bound_from(red, x_start):
+        depths.append(n - red.n)
+        return upper_bound_from(red, x_start)
+
+    monkeypatch.setattr(qc.bnb, "upper_bound_from", recording_upper_bound_from)
+    return depths
+
+
+def scheduled(depth):
+    """Depth 0 or a power of two: where a relaxed node gets a candidate."""
+    return not depth & (depth - 1)
+
+
+@pytest.mark.parametrize("g, spec", [
+    (qc.gen_random(12, 0.6, 4), qc.PartitionSpec(6, 6)),
+    (qc.gen_toroidal(3, 4, 1), qc.PartitionSpec(3, 6)),
+], ids=["random-12-bisect", "toroidal-3x4-window"])
+def test_candidates_only_at_power_of_two_depths(monkeypatch, g, spec):
+    # the heuristic runs at the root and at depths 1, 2, 4, 8, ... only; the
+    # search still reaches the optimum and proves it
+    depths = record_candidate_depths(monkeypatch, g.n)
+    sol = qc.solve(g, spec)
+    assert sol.status == "optimal"
+    assert sol.value == qc.brute_force(g, spec)[0]
+    assert all(scheduled(d) for d in depths), sorted(set(depths))
+    assert depths.count(0) == 1
+    assert max(depths) == 8  # the search reaches past depth 4
+
+
+@pytest.mark.parametrize("bound", ["sdp", "eig"])
+@settings(max_examples=100)
+@given(case=cut_instances())
+def test_candidate_schedule_keeps_the_search_exact(bound, case):
+    # the incumbent only prunes, so building fewer candidates may delay the
+    # optimum but never loses it; the root, relaxed or forced, always yields
+    # the first incumbent
+    g, spec = case
+    with pytest.MonkeyPatch.context() as mp:
+        depths = record_candidate_depths(mp, g.n)
+        sol = qc.solve(g, spec, BnbConfig(bound=bound))
+    assert all(scheduled(d) for d in depths), sorted(set(depths))
+    root_forced = forced_completion(g, spec, qc.order_vertices(g), ()) is not None
+    assert depths.count(0) == (0 if root_forced else 1)
+    assert sol.incumbent_trace[0][0] == 1
+    opt, _ = qc.brute_force(g, spec)
+    if g.is_integral:
+        assert sol.value == opt
+    else:
+        assert opt - 1e-9 <= sol.value <= opt + EPS
+    assert sol.lower_bound <= sol.value

@@ -7,7 +7,7 @@ import pytest
 
 import qpcut as qc
 from qpcut.cli import main
-from helpers import NON_FINITE_MTX
+from helpers import NON_FINITE_MTX, UNREADABLE_MTX
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +179,16 @@ def test_solve_rejects_weights_without_exact_cut_sums(tmp_path, capsys, w12):
 
 @pytest.mark.parametrize("text", NON_FINITE_MTX.values(), ids=NON_FINITE_MTX.keys())
 def test_solve_rejects_non_finite_matrix_exchange_entries(tmp_path, capsys, text):
+    p = tmp_path / "bad.mtx"
+    p.write_text(text)
+    assert main(["solve", "--input", str(p), "--l", "1", "--u", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("text", [text for text, _ in UNREADABLE_MTX.values()],
+                         ids=UNREADABLE_MTX.keys())
+def test_solve_rejects_complex_and_overflowing_matrix_exchange_files(tmp_path, capsys, text):
     p = tmp_path / "bad.mtx"
     p.write_text(text)
     assert main(["solve", "--input", str(p), "--l", "1", "--u", "2"]) == 1

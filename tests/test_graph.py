@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qpcut as qc
-from helpers import NON_FINITE_MTX, path_graph, complete_graph, random_graph
+from helpers import NON_FINITE_MTX, UNREADABLE_MTX, path_graph, complete_graph, random_graph
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -90,6 +90,14 @@ def test_matrix_exchange_rejects_non_finite_entries(tmp_path, text):
     p = tmp_path / "bad.mtx"
     p.write_text(text)
     with pytest.raises(qc.GraphFormatError, match="weights must be finite"):
+        qc.load_graph(p)
+
+
+@pytest.mark.parametrize("text, match", UNREADABLE_MTX.values(), ids=UNREADABLE_MTX.keys())
+def test_matrix_exchange_rejects_complex_and_overflowing_files(tmp_path, text, match):
+    p = tmp_path / "bad.mtx"
+    p.write_text(text)
+    with pytest.raises(qc.GraphFormatError, match=match):
         qc.load_graph(p)
 
 
