@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import certified_lower_bound
-from .qp import FeasibleSet, ReducedQp
+from .qp import FeasibleSet, ReducedQp, _check_dim
 
 __all__ = ["SolveReport", "project", "solve_convex", "descend_nonconvex"]
 
@@ -63,14 +63,16 @@ class SolveReport:
 def project(x, fset: FeasibleSet) -> np.ndarray:
     """Euclidean projection onto {p <= y <= q, lo <= sum(y) <= hi}.
 
-    Clip to the box; if the clipped sum violates a budget bound, shift by the
-    scalar theta solving sum(clip(x - theta)) = bound.  That piecewise-linear
-    monotone equation is solved exactly by breakpoint search, so the result
-    is feasible, idempotent, and the true projection.
+    x must have shape (fset.dim,); any other shape raises ValueError.  Three
+    cases: the box clip alone, when its sum lies in the window; otherwise
+    the shift by the scalar theta solving sum(clip(x - theta)) = bound at
+    the violated bound, which _clip_to_budget finds by one shift of every
+    coordinate when that meets the bound, and by breakpoint search when it
+    does not.  The result is feasible, idempotent, and the true projection.
     """
     if fset.is_empty:
         raise ValueError("empty feasible set")
-    x = np.asarray(x, dtype=float)
+    x = _check_dim(x, fset.dim)
     y = np.minimum(np.maximum(x, fset.p), fset.q)
     s = np.add.reduce(y)
     if s > fset.hi:
@@ -83,32 +85,24 @@ def project(x, fset: FeasibleSet) -> np.ndarray:
 def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
     """clip(x - theta, p, q) at the root of sum(clip(x - theta, p, q)) = target.
 
-    The clip sum is nonincreasing and piecewise linear in theta, with slope
-    minus the number of free coordinates.  Coordinate i leaves its upper
-    bound at theta = x_i - q_i and reaches its lower bound at x_i - p_i; at
-    the smallest of these 2n breakpoints the sum is sum(q).  Sorting the
-    breakpoints and accumulating +1 / -1 gives the free count on every
-    segment, and the running sum of count * width the drop of the clip sum,
-    so the segment holding the target and the root on it follow from one
-    sort and two cumulative sums: O(n log n), a fixed number of numpy calls.
+    project calls this when the box clip alone (theta = 0) misses the
+    window, with target the violated end.  The clip sum is nonincreasing and
+    piecewise linear in theta, so any theta whose clip sum meets the target
+    to the exact-sum tolerance below gives the projection.  Two cases
+    remain.  First, one shift of every coordinate by theta0 = (sum(x) -
+    target) / n, the root when no coordinate clips there; it has the sign
+    the violated end needs (target == hi only when the box clip sum, and so
+    sum(x), exceeds hi).  Otherwise, when a coordinate clips at theta0 or
+    rounding at huge |x| spoils the sum, breakpoint search
+    (_breakpoint_root) followed by the y-space exact-sum step.
     """
     p, q = fset.p, fset.q
-    bps = (x - fset.bounds).ravel()  # x - q, then x - p
-    order = bps.argsort()
-    bps = bps[order]
-    nfree = fset.steps[order].cumsum()
-    dropped = (nfree[:-1] * (bps[1:] - bps[:-1])).cumsum()  # sum(q) - sum at bps[1:]
-    need = fset.qsum - target
-    k = int(dropped.searchsorted(need))  # first breakpoint after bps[0] with that drop
-    if need <= 0.0:
-        theta = bps[0]  # target == sum(q), met before any coordinate moves
-    elif k == dropped.size:
-        theta = bps[-1]  # target == sum(p), reached at the last breakpoint
-    else:
-        # linear on [bps[k], bps[k + 1]], where nfree[k] > 0 since the drop grows there
-        theta = bps[k] + (need - (dropped[k - 1] if k else 0.0)) / nfree[k]
+    tol = 1e-12 * max(1.0, abs(target))
+    y = np.minimum(np.maximum(x - (np.add.reduce(x) - target) / x.size, p), q)
+    if abs(float(np.add.reduce(y)) - target) <= tol:
+        return y
 
-    y = np.minimum(np.maximum(x - theta, p), q)
+    y = np.minimum(np.maximum(x - _breakpoint_root(x, fset, target), p), q)
     # Exact-sum step.  The root above meets the tolerance unless |x| is huge:
     # then x - theta carries an absolute error of |x| * eps per coordinate,
     # and one ulp of theta moves the sum by about as much, so no theta is
@@ -117,7 +111,6 @@ def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
     # on a breakpoint with every coordinate on a bound, the residual is below
     # the precision of x itself, and the coordinates that can move toward the
     # target absorb it (some can: sum(p) <= target <= sum(q)).
-    tol = 1e-12 * max(1.0, abs(target))
     for _ in range(4):
         err = float(np.add.reduce(y)) - target
         if abs(err) <= tol:
@@ -128,6 +121,32 @@ def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
         y[free] -= err / np.count_nonzero(free)
         y = np.minimum(np.maximum(y, p), q)
     return y
+
+
+def _breakpoint_root(x, fset: FeasibleSet, target: float) -> float:
+    """The root theta of sum(clip(x - theta, p, q)) = target, by breakpoint search.
+
+    Coordinate i leaves its upper bound at theta = x_i - q_i and reaches its
+    lower bound at x_i - p_i; at the smallest of these 2n breakpoints the
+    sum is sum(q).  Sorting the breakpoints and accumulating +1 / -1 gives
+    the free count on every segment, and the running sum of count * width
+    the drop of the clip sum, so the segment holding the target and the root
+    on it follow from one sort and two cumulative sums: O(n log n), a fixed
+    number of numpy calls.
+    """
+    bps = (x - fset.bounds).ravel()  # x - q, then x - p
+    order = bps.argsort()
+    bps = bps[order]
+    nfree = fset.steps[order].cumsum()
+    dropped = (nfree[:-1] * (bps[1:] - bps[:-1])).cumsum()  # sum(q) - sum at bps[1:]
+    need = fset.qsum - target
+    k = int(dropped.searchsorted(need))  # first breakpoint after bps[0] with that drop
+    if need <= 0.0:
+        return bps[0]  # target == sum(q), met before any coordinate moves
+    if k == dropped.size:
+        return bps[-1]  # target == sum(p), reached at the last breakpoint
+    # linear on [bps[k], bps[k + 1]], where nfree[k] > 0 since the drop grows there
+    return bps[k] + (need - (dropped[k - 1] if k else 0.0)) / nfree[k]
 
 
 def _gp_loop(problem, x0, tol, max_iter, cutoff=None):

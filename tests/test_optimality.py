@@ -178,7 +178,7 @@ def test_strict_c1_false_with_fractional_coordinate():
 # included, over the points of _pinned_points (exact float reprs).  The
 # points come from project, round_to_binary and descend_nonconvex, so a
 # change to their iterates moves the digest as well.
-CLASSIFICATION_SHA256 = "d832eed4727de195957a60dadc8e9c371a41c73b3026cd3174385dca345a6497"
+CLASSIFICATION_SHA256 = "a427eca4192a93abb92595b8b01759c862a18e7dd7b58818b6f3db1cb1067e9d"
 
 
 def _pinned_points():

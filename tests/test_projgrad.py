@@ -31,6 +31,17 @@ def test_project_rejects_empty_set():
         qc.project(np.zeros(2), unit_set(2, 3, 3))
 
 
+@pytest.mark.parametrize("x, lo, hi", [
+    (0.3, 0, 2),  # a scalar the box clip alone would broadcast to [0.3, 0.3]
+    (3.0, 0, 1),  # a scalar past the window, which takes the budget shift
+    (np.full((2, 2), 0.3), 0, 2),
+    (np.zeros(3), 0, 2),
+])
+def test_project_rejects_a_point_of_the_wrong_shape(x, lo, hi):
+    with pytest.raises(ValueError, match="expected a vector of length 2"):
+        qc.project(x, unit_set(2, lo, hi))
+
+
 def test_project_idempotent_nonexpansive_feasible():
     rng = np.random.default_rng(0)
     for _ in range(300):
