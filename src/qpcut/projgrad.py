@@ -20,6 +20,17 @@ also stops as soon as its certified lower bound, checked at iterations 0, 1,
 bound then prunes the node, and more iterations could not change that.  A
 checked iterate that has also converged therefore reports 'cutoff', with
 the bound a converged stop there would return.
+
+On a relaxation (convex, lam set) every pass starts with a face step, so
+before the first pass and after every gradient projection step: gradient
+projection finds the active face, and one Newton step minimizes the
+quadratic on it, or goes as far towards that minimizer as the box and
+window allow (More & Toraldo 1991, SIAM J. Optim. 1; Hager & Zhang 2006,
+SIAM J. Optim. 17).  A stepped point has nearly always converged, so that
+pass tests the residual before its step projection.  The step keeps the
+iterate feasible and, the quadratic being convex, does not raise it, and
+the certificate holds at any feasible point, so bounds stay sound.  The
+nonconvex descent takes no face step.
 """
 
 from __future__ import annotations
@@ -149,6 +160,71 @@ def _breakpoint_root(x, fset: FeasibleSet, target: float) -> float:
     return bps[k] + (need - (dropped[k - 1] if k else 0.0)) / nfree[k]
 
 
+def _face_step(problem, fset, x, g):
+    """One Newton step on the active face of x for a relaxation; the new point or None.
+
+    The face holds the coordinates strictly inside (0, 1) (margin 1e-12),
+    and the budget row when sum(x) is within 1e-9 max(1, n) of lo or hi.  On
+    it the step d solves H_FF d = -g_F, bordered by the budget row
+    [H_FF 1; 1^T 0][d; nu] = [-g_F; 0] when that is active, with
+    H = 2 (Diag(lam) - M); lstsq stands in when the system is singular.  With
+    the budget active, d is re-centred onto sum(d) = 0 and tested with the
+    reduced gradient g_F + nu: on the face g . d is the same number, free of
+    the cancellation of nu * sum(d) against rounding in a step that is near
+    zero.  The step length is the exact line search -g.d / d^T H d, capped
+    by a ratio test that keeps the box and, with the budget inactive, the
+    window.  The point is returned only for a descent direction (g.d < 0)
+    and when it lies in fset to 1e-9, so it is feasible and, H being PSD,
+    no worse than x.
+    """
+    inner = (x > 1e-12) & (x < 1.0 - 1e-12)
+    k = int(np.count_nonzero(inner))
+    if k == 0:
+        return None
+    s = float(np.add.reduce(x))
+    slack = 1e-9 * max(1.0, x.size)
+    on_budget = abs(s - fset.lo) <= slack or abs(s - fset.hi) <= slack
+    if k == x.size:
+        m, lam, gf, xf = problem.M, problem.lam, g, x
+    else:
+        face = np.flatnonzero(inner)
+        m, lam, gf, xf = problem.M[np.ix_(face, face)], problem.lam[face], g[face], x[face]
+    h = 2.0 * (np.diag(lam) - m)
+    if on_budget:
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = h
+        kkt[k, k] = 0.0
+        sol = _solve(kkt, np.append(-gf, 0.0))
+        d = sol[:k] - np.add.reduce(sol[:k]) / k
+        gf = gf + sol[k]
+    else:
+        d = _solve(h, -gf)
+    a = float(gf @ d)
+    if not a < 0.0:
+        return None
+    # ratio test: the largest t that keeps x + t d in the box (and window)
+    ad = np.abs(d)
+    moving = ad > 0.0
+    t = float(np.minimum.reduce(np.where(d > 0.0, 1.0 - xf, xf)[moving] / ad[moving]))
+    sd = float(np.add.reduce(d))
+    if not on_budget and sd != 0.0:
+        t = min(t, ((fset.hi if sd > 0.0 else fset.lo) - s) / sd)
+    b = float(d @ (h @ d))
+    if b > 0.0:
+        t = min(t, -a / b)
+    y = x.copy()
+    y[inner] += t * d
+    return y if fset.contains(y, 1e-9) else None
+
+
+def _solve(a, rhs):
+    """a^-1 rhs, or the least-squares solution when a is singular."""
+    try:
+        return np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, rhs, rcond=None)[0]
+
+
 def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     """Gradient projection on a quadratic problem from x0; returns (report, bound).
 
@@ -170,14 +246,21 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     residual on every pass would, with the same iterates, bounds and
     reports.
 
+    A relaxation (problem.lam set) starts every pass with _face_step, and
+    a pass whose face step was accepted forms P(x - g) first and stops
+    'converged' when it is within tol; when it is not, that pass's skip
+    test is left out, since the residual is already known.  The stops are
+    those of the loop without the reordering: a residual within tol
+    contradicts the skip's lower end above 2 tol.
+
     With a cutoff, problem must be a convex relaxation: its certified lower
-    bound is computed at iterations 0, 1, 2, 4, 8, ..., before that pass's
-    projection, and the loop stops with stop 'cutoff' when it is above the
-    cutoff, returning that bound.  No certified bound exceeds min f_L, so
-    the checks end once f_L(x) is at most the cutoff.  They never alter the
-    iterates.  A relaxation (problem.lam set) that stops for any other reason
-    returns the certified bound at its last iterate; a subproblem returns
-    None.
+    bound is computed at iterations 0, 1, 2, 4, 8, ..., after that pass's
+    face step and before its projection, and the loop stops with stop
+    'cutoff' when it is above the cutoff, returning that bound.  No
+    certified bound exceeds min f_L, so the checks end once f_L(x) is at
+    most the cutoff.  They never alter the iterates.  A relaxation that
+    stops for any other reason returns the certified bound at its last
+    iterate; a subproblem returns None.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
@@ -191,8 +274,15 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     alpha = 1.0 if gmax == 0.0 else 1.0 / gmax
     alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
 
+    relax = problem.lam is not None
     bound = None
     for iterations in range(max_iter + 1):
+        # first, on a relaxation, the face step: before the first pass and after every step
+        y = _face_step(problem, fset, x, g) if relax else None
+        if y is not None:
+            x = y
+            mx = problem.matvec(x)
+            g = problem.grad_from(mx)
         if cutoff is not None and not iterations & (iterations - 1):
             value = problem.value_from(x, mx)
             if value <= cutoff:
@@ -203,9 +293,15 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
                     bound = cert
                     stop = "cutoff"
                     break
+        if y is not None:  # a face-stepped point has nearly always converged
+            r = project(x - g, fset) - x
+            if math.sqrt(r @ r) <= tol:
+                stop = "converged"
+                break
         d = project(x - alpha * g, fset) - x
         dd = float(d @ d)
-        if dd * min(1.0, 1.0 / alpha) ** 2 <= 4.0 * tol * tol:  # else residual >= 2 tol: skip it
+        # a stepped pass has formed the residual; any other skips it when >= 2 tol
+        if y is None and dd * min(1.0, 1.0 / alpha) ** 2 <= 4.0 * tol * tol:
             r = project(x - g, fset) - x
             if math.sqrt(r @ r) <= tol:
                 stop = "converged"
@@ -232,7 +328,7 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
         # BB step s.s / s.y with s = t d and y = t Hd
         alpha = dd / b if t * t * b > 1e-30 else ALPHA_MAX
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
-    if problem.lam is not None and stop != "cutoff":
+    if relax and stop != "cutoff":
         bound = certified_lower_bound(problem, x, g, problem.value_from(x, mx))
     return SolveReport(x=x, iterations=iterations, stop=stop), bound
 
@@ -241,13 +337,16 @@ def solve_convex(rel: ReducedQp, x0=None, tol: float = RESIDUAL_TOL,
                  max_iter: int = SOLVE_MAX_ITER, cutoff: float | None = None):
     """Minimize the convex relaxation; returns (report, certified lower bound).
 
-    The objective is monotone nonincreasing across accepted steps, and the
-    returned bound is certified at the final iterate, so it stays sound even
-    when the iteration cap is hit.  Given a cutoff, the solve may stop early
-    with report.stop == 'cutoff'; the bound returned is then the one that
-    passed the cutoff.  The checks never alter the iterates, so a solve that
-    no check stops returns what cutoff=None does.  A subproblem (lam None),
-    which has no certified bound, raises ValueError before any iteration.
+    The objective is monotone nonincreasing across accepted steps, face
+    steps included: each is feasible and, on this convex quadratic, moves
+    along a descent direction no further than the exact line search allows.
+    The returned bound is certified at the final iterate, which need only be
+    feasible, so it stays sound even when the iteration cap is hit.  Given
+    a cutoff, the solve may stop early with report.stop == 'cutoff'; the
+    bound returned is then the one that passed the cutoff.  The checks never
+    alter the iterates, so a solve that no check stops returns what
+    cutoff=None does.  A subproblem (lam None), which has no certified
+    bound, raises ValueError before any iteration.
     """
     if rel.lam is None:
         raise ValueError("solve_convex takes a relaxation, not a subproblem")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qpcut as qc
 from qpcut.projgrad import (
-    ALPHA_MAX, ALPHA_MIN, DESCENT_MAX_ITER, RESIDUAL_TOL, SOLVE_MAX_ITER,
+    ALPHA_MAX, ALPHA_MIN, DESCENT_MAX_ITER, RESIDUAL_TOL, SOLVE_MAX_ITER, _face_step,
 )
 
 X_TOL = 1e-7
@@ -89,6 +89,24 @@ def cut_instances(draw, max_n=10):
         width = draw(st.integers(2, n))
     lo = draw(st.integers(0, n - width))
     return qc.WeightedGraph(w + w.T), qc.PartitionSpec(lo, lo + width)
+
+
+@st.composite
+def node_problems(draw, kind):
+    """(red, rel, x0, tol): a feasible node of a random instance in branching
+    order, its relaxation under the given shift kind, and a feasible start."""
+    g, spec = draw(cut_instances())
+    qp = qc.make_qp(g, spec)
+    order = qc.order_vertices(g)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = np.zeros(g.n)  # a feasible point, whose prefix labels a feasible node
+    y[rng.permutation(g.n)[: draw(st.integers(spec.l, spec.u))]] = 1.0
+    label = tuple(y[order][: draw(st.integers(0, g.n - 1))])
+    red = qc.reduce(qp, label, order)
+    shift = qc.sdp_shift(qp.M) if kind == "sdp" else qc.sigma_shift(qp.M)
+    rel = qc.build_relaxation(red, shift)
+    x0 = qc.project(rng.random(red.n) * 1.5 - 0.25, rel.fset)
+    return red, rel, x0, draw(st.sampled_from([1e-4, 1e-7]))
 
 
 # Matrix Market files with a non-finite entry, which load_graph must reject
@@ -176,13 +194,15 @@ def projection_oracle(x, fset):
 
 
 def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.project,
-                      passes=None):
+                      passes=None, face_step=None):
     """qpcut.projgrad._gp_loop without its residual shortcuts: every pass
     projects x - g for the exact residual and, unless it stops first,
     x - alpha g for the step.  A checked iteration's cutoff test comes first,
     as in the solver's loop.  Returns (report, bound) like that loop; project
     can count the calls, and a list given as passes receives (x, g, alpha)
-    at the start of every pass."""
+    at the start of every pass, after its face step.  A relaxation's loop takes a face step at
+    the start of every pass: pass it as face_step (qpcut.projgrad._face_step)
+    to follow that loop."""
     fset = problem.fset
     x = np.asarray(x0, dtype=float).copy()
     g = problem.grad(x)
@@ -193,6 +213,10 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
     iterations = 0
     bound = None
     for iterations in range(max_iter + 1):
+        y = None if face_step is None else face_step(problem, fset, x, g)
+        if y is not None:
+            x = y
+            g = problem.grad(x)
         if passes is not None:
             passes.append((x, g, alpha))
         if cutoff is not None and not iterations & (iterations - 1):
@@ -238,7 +262,7 @@ def reference_solve_convex(rel, x0=None, tol=RESIDUAL_TOL, max_iter=SOLVE_MAX_IT
     qpcut.certified_lower_bound."""
     if x0 is None:
         x0 = qc.project(np.full(rel.n, 0.5), rel.fset)
-    report, bound = reference_gp_loop(rel, x0, tol, max_iter, cutoff)
+    report, bound = reference_gp_loop(rel, x0, tol, max_iter, cutoff, face_step=_face_step)
     if bound is None:
         bound = qc.certified_lower_bound(rel, report.x)
     return report, bound

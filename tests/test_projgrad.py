@@ -10,7 +10,7 @@ import qpcut as qc
 from qpcut import projgrad
 from qpcut.qp import FeasibleSet
 from helpers import (
-    cut_instances, path_graph, projection_oracle, random_graph, reference_gp_loop,
+    node_problems, path_graph, projection_oracle, random_graph, reference_gp_loop,
 )
 
 
@@ -202,14 +202,15 @@ def test_converged_reports_are_stationary_at_the_exact_gradient(seed, case):
 @pytest.mark.parametrize("tol, max_capped", [(1e-4, 0), (1e-8, 1), (1e-12, 3)])
 def test_relaxations_below_the_default_tol_stop_at_a_rounding_floor(tol, max_capped):
     # On the 48 relaxations of seeds 0-7 (both shifts, labels (), (1,), (0, 1))
-    # every solve converges at the default tol.  Below it, an unconverged solve
-    # almost never runs to the cap: at 1e-8, 20 of 21 stop after 11-276
-    # iterations (at 1e-12, 27 of 30 after 11-589) because the projected step
+    # every solve converges at 1e-4, 1e-8 and 1e-12 alike, within 5 iterations
+    # (27 at iteration 0): the face step lands on the face's minimiser.  An
+    # unconverged solve below the default tol must stop at the cap (at most
+    # max_capped of them) or at the rounding floor, where the projected step
     # is no longer a descent direction in floating point (g.d >= 0, so the
-    # exact segment search returns t = 0), and report stop == "floor".  Their
-    # exact residuals are at most 6.7e-7, and a fresh start from the stop point
-    # lowers f by at most 1.3e-15 relative: a rounding floor, not cycling or
-    # slow convergence.
+    # exact segment search returns t = 0), with a small exact residual and
+    # nothing left for a fresh start to gain.  Without the face step, 21
+    # solves stopped there at 1e-8 (1 at the cap) and 27 at 1e-12 (3 at the
+    # cap).
     capped = 0
     for seed in range(8):
         qp = seeded_qp(seed)
@@ -232,48 +233,33 @@ def test_relaxations_below_the_default_tol_stop_at_a_rounding_floor(tol, max_cap
 
 
 def test_each_stop_reason_is_reached_and_reported():
-    # seed 1's root relaxation, from a start that is far from stationary
-    qp = seeded_qp(1)
+    # seed 2's root relaxation, from a start that is far from stationary even
+    # after iteration 0's face step, which that pass checks and certifies
+    qp = seeded_qp(2)
     rel = qc.build_relaxation(qc.reduce(qp, ()), qc.sdp_shift(qp.M))
     x0 = qc.project(np.linspace(0.0, 1.0, rel.n), rel.fset)
-    assert exact_residual(rel.grad, x0, rel.fset) > 1.0
+    x1 = projgrad._face_step(rel, rel.fset, x0, rel.grad(x0))
+    assert x1 is not None and exact_residual(rel.grad, x1, rel.fset) > 1.0
 
     report, _ = qc.solve_convex(rel, x0)
     assert report.stop == "converged" and report.converged and report.iterations > 0
     assert exact_residual(rel.grad, report.x, rel.fset) <= projgrad.RESIDUAL_TOL
 
-    start = qc.certified_lower_bound(rel, x0)
+    start = qc.certified_lower_bound(rel, x1)
     report, bound = qc.solve_convex(rel, x0, cutoff=start - 1.0)
     assert (report.stop, report.iterations, bound) == ("cutoff", 0, start)
-    assert not report.converged
+    assert np.array_equal(report.x, x1) and not report.converged
 
     report, _ = qc.solve_convex(rel, x0, max_iter=0)
     assert (report.stop, report.iterations) == ("cap", 0)
-    assert np.array_equal(report.x, x0) and not report.converged
+    assert np.array_equal(report.x, x1) and not report.converged
 
-    # below the default tol the solve ends at the rounding floor, long before the cap
-    report, _ = qc.solve_convex(rel, x0, tol=1e-12)
+    # far below the default tol the solve ends at the rounding floor, long
+    # before the cap (at tol 1e-12 it converges)
+    report, _ = qc.solve_convex(rel, x0, tol=1e-15)
     assert report.stop == "floor" and not report.converged
     assert report.iterations < projgrad.SOLVE_MAX_ITER
-    assert 1e-12 < exact_residual(rel.grad, report.x, rel.fset) < 1e-6
-
-
-@st.composite
-def node_problems(draw, kind):
-    """(red, rel, x0, tol): a feasible node of a random instance in branching
-    order, its relaxation under the given shift kind, and a feasible start."""
-    g, spec = draw(cut_instances())
-    qp = qc.make_qp(g, spec)
-    order = qc.order_vertices(g)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    y = np.zeros(g.n)  # a feasible point, whose prefix labels a feasible node
-    y[rng.permutation(g.n)[: draw(st.integers(spec.l, spec.u))]] = 1.0
-    label = tuple(y[order][: draw(st.integers(0, g.n - 1))])
-    red = qc.reduce(qp, label, order)
-    shift = qc.sdp_shift(qp.M) if kind == "sdp" else qc.sigma_shift(qp.M)
-    rel = qc.build_relaxation(red, shift)
-    x0 = qc.project(rng.random(red.n) * 1.5 - 0.25, rel.fset)
-    return red, rel, x0, draw(st.sampled_from([1e-4, 1e-7]))
+    assert 1e-15 < exact_residual(rel.grad, report.x, rel.fset) < 1e-6
 
 
 def node_relaxations(kind):
@@ -360,14 +346,15 @@ def assert_matches_reference(red, rel, x0, tol, max_iter):
     """solve_convex (with and without cutoffs) and descend_nonconvex against
     reference_gp_loop: the same reports and bounds, bit for bit, at the cost
     of at most one projection more (the step of the pass that stops)."""
-    plain, _ = reference_gp_loop(rel, x0, tol, max_iter)
+    plain, _ = reference_gp_loop(rel, x0, tol, max_iter, face_step=projgrad._face_step)
     start = qc.certified_lower_bound(rel, x0)
     end = qc.certified_lower_bound(rel, plain.x)
     # no cutoff, and cutoffs just below the start's and the plain end's bounds
     for cutoff in (None, start - 1e-9 * (1.0 + abs(start)), end - 1e-9 * (1.0 + abs(end))):
         with counted_projections() as ref_calls:
             ref, ref_bound = reference_gp_loop(
-                rel, x0, tol, max_iter, cutoff, project=projgrad.project
+                rel, x0, tol, max_iter, cutoff, project=projgrad.project,
+                face_step=projgrad._face_step,
             )
         if ref_bound is None:
             ref_bound = qc.certified_lower_bound(rel, ref.x)
@@ -383,6 +370,27 @@ def assert_matches_reference(red, rel, x0, tol, max_iter):
         out = qc.descend_nonconvex(red, plain.x, tol=tol, max_iter=max_iter)
     assert_same_report(out, ref)
     assert calls[0] <= ref_calls[0] + 1
+
+
+def test_a_face_stepped_start_that_has_converged_projects_once():
+    # the pass after an accepted face step tests the residual before its step
+    # projection, so a relaxation whose face-stepped start has converged
+    # costs one projection, not two
+    checked = 0
+    for seed in range(3):
+        qp = seeded_qp(seed)
+        for shift in (qc.sdp_shift(qp.M), qc.sigma_shift(qp.M)):
+            for label in ((), (1,), (0, 1)):
+                rel = qc.build_relaxation(qc.reduce(qp, label), shift)
+                x0 = qc.project(np.full(rel.n, 0.5), rel.fset)
+                if projgrad._face_step(rel, rel.fset, x0, rel.grad(x0)) is None:
+                    continue
+                with counted_projections() as calls:
+                    report, _ = qc.solve_convex(rel, x0)
+                if (report.stop, report.iterations) == ("converged", 0):
+                    assert calls[0] == 1
+                    checked += 1
+    assert checked >= 10
 
 
 @pytest.mark.parametrize("kind", ["sdp", "eig"])
@@ -413,7 +421,9 @@ def test_step_bounds_the_residual_and_every_converged_stop_is_within_tol(kind, d
         if stopped.converged:
             assert exact_residual(problem.grad, stopped.x, problem.fset) <= tol
         passes = []
-        reference_gp_loop(problem, start, tol, stopped.iterations, passes=passes)
+        face_step = projgrad._face_step if problem is rel else None
+        reference_gp_loop(problem, start, tol, stopped.iterations, passes=passes,
+                          face_step=face_step)
         for x, g, alpha in passes:
             step = np.linalg.norm(qc.project(x - alpha * g, problem.fset) - x)
             assert min(1.0, 1.0 / alpha) * step <= (
