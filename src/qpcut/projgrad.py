@@ -6,30 +6,27 @@ the unit box and budget window:
 x_{k+1} = x_k + t* (P(x_k - alpha_k g_k) - x_k), where alpha_k is a
 safeguarded Barzilai-Borwein steplength and t* minimizes the quadratic
 exactly on the segment (best endpoint when the segment quadratic is
-concave).  The stopping rule is the unit-step projected-gradient residual
-||P(x - g) - x|| <= tol, or the iteration cap; the defaults below are the
-ones branch and bound uses.  Each iterate costs one product M x, from which
-the exact gradient, and where needed the value and the certified bound,
-are taken.  Each pass projects once for the step, and forms P(x - g) only
-where that step cannot rule convergence out: for x in a convex set,
-||P(x - alpha g) - x|| / alpha is nonincreasing in alpha (Calamai & More
-1987, Math. Programming 39, Lemma 2.2), so the residual is at least
-min(1, 1/alpha) ||P(x - alpha g) - x||.  A relaxation solve given a cutoff
-also stops as soon as its certified lower bound, checked at iterations 0, 1,
-2, 4, 8, ... before that pass's projection, is above the cutoff: branch and
-bound then prunes the node, and more iterations could not change that.  A
-checked iterate that has also converged therefore reports 'cutoff', with
-the bound a converged stop there would return.
+concave).  Each pass forms the unit-step projected-gradient residual
+||P(x - g) - x|| first and stops when it is within tol, or at the iteration
+cap; only a pass that goes on projects x - alpha g for its step.  The
+defaults below are the ones branch and bound uses.  Each iterate costs one
+product M x, from which the exact gradient, and where needed the value and
+the certified bound, are taken.  A relaxation solve given a cutoff also
+stops as soon as its certified lower bound, checked at iterations 0, 1, 2,
+4, 8, ... before that pass's residual, is above the cutoff: branch and bound
+then prunes the node, and more iterations could not change that.  A checked
+iterate that has also converged therefore reports 'cutoff', with the bound
+a converged stop there would return.
 
 On a relaxation (convex, lam set) every pass starts with a face step, so
 before the first pass and after every gradient projection step: gradient
 projection finds the active face, and one Newton step minimizes the
 quadratic on it, or goes as far towards that minimizer as the box and
 window allow (More & Toraldo 1991, SIAM J. Optim. 1; Hager & Zhang 2006,
-SIAM J. Optim. 17).  A stepped point has nearly always converged, so that
-pass tests the residual before its step projection.  The step keeps the
-iterate feasible and, the quadratic being convex, does not raise it, and
-the certificate holds at any feasible point, so bounds stay sound.  The
+SIAM J. Optim. 17).  A stepped point has nearly always converged, so most
+relaxations stop at their first residual.  The step keeps the iterate
+feasible and, the quadratic being convex, does not raise it, and the
+certificate holds at any feasible point, so bounds stay sound.  The
 nonconvex descent takes no face step.
 """
 
@@ -58,7 +55,8 @@ class SolveReport:
 
     stop: 'converged' (residual within tol), 'cutoff' (certified bound above
     the cutoff), 'cap' (max_iter reached) or 'floor' (no descent left in
-    floating point: a zero step, or a segment search that returns t = 0).
+    floating point: a pass whose value is not below the one the last pass
+    stepped from, a zero step, or a segment search that returns t = 0).
     """
 
     x: np.ndarray
@@ -236,26 +234,19 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     problem.matvec(d), which gives the segment curvature
     d^T H d = -2 d . matvec(d) and the Barzilai-Borwein step d^T d / d^T H d.
 
-    Each pass projects for the step d = P(x - alpha g) - x.  By the lemma in
-    the module docstring the residual is at least min(1, 1/alpha) ||d||, so
-    a pass whose lower end is above 2 tol has not converged and skips
-    P(x - g); the factor 2 leaves a margin of tol for rounding and for the
-    ~1e-12 infeasibility of the iterates.  Every other pass forms P(x - g)
-    and stops 'converged' when ||P(x - g) - x|| <= tol, and a zero step
-    short of that stops 'floor'.  So the loop stops where computing the
-    residual on every pass would, with the same iterates, bounds and
-    reports.
-
-    A relaxation (problem.lam set) starts every pass with _face_step, and
-    a pass whose face step was accepted forms P(x - g) first and stops
-    'converged' when it is within tol; when it is not, that pass's skip
-    test is left out, since the residual is already known.  The stops are
-    those of the loop without the reordering: a residual within tol
-    contradicts the skip's lower end above 2 tol.
+    Every pass works in one order: on a relaxation (problem.lam set) the
+    face step of _face_step; the cutoff check on checked iterations; the
+    residual P(x - g) - x, which stops 'converged' when its norm is at most
+    tol; the cap, which stops 'cap' at max_iter; then the step.  A pass
+    that would step stops 'floor' instead when f(x) is not strictly below
+    the value the last pass stepped from (far below the default tol the face
+    step and the gradient step can otherwise trade moves of a few ulps until
+    the cap), when d = P(x - alpha g) - x is zero, or when the segment
+    search returns t = 0.
 
     With a cutoff, problem must be a convex relaxation: its certified lower
     bound is computed at iterations 0, 1, 2, 4, 8, ..., after that pass's
-    face step and before its projection, and the loop stops with stop
+    face step and before its residual, and the loop stops with stop
     'cutoff' when it is above the cutoff, returning that bound.  No
     certified bound exceeds min f_L, so the checks end once f_L(x) is at
     most the cutoff.  They never alter the iterates.  A relaxation that
@@ -276,13 +267,14 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
 
     relax = problem.lam is not None
     bound = None
+    last = math.inf  # f at the last pass that stepped
     for iterations in range(max_iter + 1):
-        # first, on a relaxation, the face step: before the first pass and after every step
-        y = _face_step(problem, fset, x, g) if relax else None
-        if y is not None:
-            x = y
-            mx = problem.matvec(x)
-            g = problem.grad_from(mx)
+        if relax:  # the face step: before the first pass and after every step
+            y = _face_step(problem, fset, x, g)
+            if y is not None:
+                x = y
+                mx = problem.matvec(x)
+                g = problem.grad_from(mx)
         if cutoff is not None and not iterations & (iterations - 1):
             value = problem.value_from(x, mx)
             if value <= cutoff:
@@ -293,22 +285,20 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
                     bound = cert
                     stop = "cutoff"
                     break
-        if y is not None:  # a face-stepped point has nearly always converged
-            r = project(x - g, fset) - x
-            if math.sqrt(r @ r) <= tol:
-                stop = "converged"
-                break
-        d = project(x - alpha * g, fset) - x
-        dd = float(d @ d)
-        # a stepped pass has formed the residual; any other skips it when >= 2 tol
-        if y is None and dd * min(1.0, 1.0 / alpha) ** 2 <= 4.0 * tol * tol:
-            r = project(x - g, fset) - x
-            if math.sqrt(r @ r) <= tol:
-                stop = "converged"
-                break
+        r = project(x - g, fset) - x
+        if math.sqrt(r @ r) <= tol:
+            stop = "converged"
+            break
         if iterations == max_iter:
             stop = "cap"
             break
+        value = problem.value_from(x, mx)
+        if not value < last:
+            stop = "floor"  # the last pass lowered f by nothing in floating point
+            break
+        last = value
+        d = project(x - alpha * g, fset) - x
+        dd = float(d @ d)
         if dd == 0.0 and not d.any():
             stop = "floor"  # fixed point for this steplength, short of tol
             break

@@ -194,15 +194,13 @@ def projection_oracle(x, fset):
 
 
 def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.project,
-                      passes=None, face_step=None):
-    """qpcut.projgrad._gp_loop without its residual shortcuts: every pass
-    projects x - g for the exact residual and, unless it stops first,
-    x - alpha g for the step.  A checked iteration's cutoff test comes first,
-    as in the solver's loop.  Returns (report, bound) like that loop; project
-    can count the calls, and a list given as passes receives (x, g, alpha)
-    at the start of every pass, after its face step.  A relaxation's loop takes a face step at
-    the start of every pass: pass it as face_step (qpcut.projgrad._face_step)
-    to follow that loop."""
+                      face_step=None):
+    """qpcut.projgrad._gp_loop written out from problem.value and problem.grad
+    instead of one product per iterate.  A pass takes the face step (when
+    face_step is given: qpcut.projgrad._face_step follows a relaxation's
+    loop), then on checked iterations the cutoff test, projects x - g for the
+    exact residual and, unless it stops first, x - alpha g for the step.
+    Returns (report, bound) like that loop; project can count the calls."""
     fset = problem.fset
     x = np.asarray(x0, dtype=float).copy()
     g = problem.grad(x)
@@ -212,13 +210,12 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
 
     iterations = 0
     bound = None
+    last = math.inf
     for iterations in range(max_iter + 1):
         y = None if face_step is None else face_step(problem, fset, x, g)
         if y is not None:
             x = y
             g = problem.grad(x)
-        if passes is not None:
-            passes.append((x, g, alpha))
         if cutoff is not None and not iterations & (iterations - 1):
             if problem.value(x) <= cutoff:
                 cutoff = None
@@ -235,6 +232,11 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
         if iterations == max_iter:
             stop = "cap"
             break
+        value = problem.value(x)
+        if not value < last:
+            stop = "floor"
+            break
+        last = value
         d = project(x - alpha * g, fset) - x
         if not d.any():
             stop = "floor"

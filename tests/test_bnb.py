@@ -213,8 +213,8 @@ def test_solve_path_classifies_no_local_minima(monkeypatch, bound, lo, hi):
                          ids=["bisect", "mirror-window", "equality", "window"])
 def test_search_is_the_reference_solvers_bit_for_bit(monkeypatch, bound, lo, hi):
     # The shipped loop takes the gradient, value and certificate from one M x
-    # per iterate and skips or proves the residual from the step; the
-    # reference forms every residual and recomputes every certificate.  Both
+    # per iterate; the reference recomputes each from problem.value,
+    # problem.grad and certified_lower_bound at the point.  Both
     # searches run here, in one process and on one BLAS, and must agree in
     # every bit.  l + u = n (bisect, mirror-window) and signed weights.
     g = random_graph(10, 0.6, 11)

@@ -169,8 +169,7 @@ def test_projection_large_n(case):
 def test_projected_step_bounds_the_unit_step_residual(case, seed, gscale, e1, e2):
     # For x in the set, ||P(x - a g) - x|| is nondecreasing in a and
     # ||P(x - a g) - x|| / a nonincreasing (Calamai & More 1987, Lemma 2.2),
-    # so the unit-step residual is at least min(1, 1/a) ||P(x - a g) - x||:
-    # the gradient projection loop skips the residual on that bound.
+    # so the unit-step residual is at least min(1, 1/a) ||P(x - a g) - x||.
     z, fs = case
     x = qc.project(z, fs)
     g = np.random.default_rng(seed).standard_normal(x.size) * gscale

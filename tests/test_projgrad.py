@@ -232,6 +232,23 @@ def test_relaxations_below_the_default_tol_stop_at_a_rounding_floor(tol, max_cap
     assert capped <= max_capped
 
 
+@pytest.mark.parametrize("tol", [1e-15, 0.0])
+def test_relaxations_below_the_rounding_level_stop_within_a_few_iterations(tol):
+    # Below about 1e-14 few points of these 48 relaxations have a residual
+    # within tol, and the face step and the gradient step can trade moves of
+    # about 5e-17 that shift f_L by +-6e-16.  A pass that has not lowered f_L
+    # strictly below the last pass's value stops 'floor', long before the cap.
+    for seed in range(8):
+        qp = seeded_qp(seed)
+        for shift in (qc.sdp_shift(qp.M), qc.sigma_shift(qp.M)):
+            for label in ((), (1,), (0, 1)):
+                rel = qc.build_relaxation(qc.reduce(qp, label), shift)
+                report, _ = qc.solve_convex(rel, tol=tol, max_iter=10**4)
+                assert report.stop in ("converged", "floor"), (seed, label)
+                assert report.iterations <= 5, (seed, label)
+                assert exact_residual(rel.grad, report.x, rel.fset) < 1e-12
+
+
 def test_each_stop_reason_is_reached_and_reported():
     # seed 2's root relaxation, from a start that is far from stationary even
     # after iteration 0's face step, which that pass checks and certifies
@@ -344,8 +361,8 @@ def counted_projections():
 
 def assert_matches_reference(red, rel, x0, tol, max_iter):
     """solve_convex (with and without cutoffs) and descend_nonconvex against
-    reference_gp_loop: the same reports and bounds, bit for bit, at the cost
-    of at most one projection more (the step of the pass that stops)."""
+    reference_gp_loop: the same reports and bounds, bit for bit, from the
+    same number of projections."""
     plain, _ = reference_gp_loop(rel, x0, tol, max_iter, face_step=projgrad._face_step)
     start = qc.certified_lower_bound(rel, x0)
     end = qc.certified_lower_bound(rel, plain.x)
@@ -362,20 +379,19 @@ def assert_matches_reference(red, rel, x0, tol, max_iter):
             report, bound = qc.solve_convex(rel, x0, tol=tol, max_iter=max_iter, cutoff=cutoff)
         assert_same_report(report, ref)
         assert bound == ref_bound
-        assert calls[0] <= ref_calls[0] + 1
+        assert calls[0] == ref_calls[0]
 
     with counted_projections() as ref_calls:
         ref, _ = reference_gp_loop(red, plain.x, tol, max_iter, project=projgrad.project)
     with counted_projections() as calls:
         out = qc.descend_nonconvex(red, plain.x, tol=tol, max_iter=max_iter)
     assert_same_report(out, ref)
-    assert calls[0] <= ref_calls[0] + 1
+    assert calls[0] == ref_calls[0]
 
 
 def test_a_face_stepped_start_that_has_converged_projects_once():
-    # the pass after an accepted face step tests the residual before its step
-    # projection, so a relaxation whose face-stepped start has converged
-    # costs one projection, not two
+    # every pass tests the residual before its step projection, so a
+    # relaxation whose face-stepped start has converged costs one projection
     checked = 0
     for seed in range(3):
         qp = seeded_qp(seed)
@@ -396,9 +412,9 @@ def test_a_face_stepped_start_that_has_converged_projects_once():
 @pytest.mark.parametrize("kind", ["sdp", "eig"])
 @settings(max_examples=60)
 @given(data=st.data())
-def test_residual_skip_is_bit_identical_to_the_two_projection_loop(kind, data):
-    # The loop leaves out P(x - g) when the step's projection proves the
-    # residual above tol; it must not change what the loop returns.
+def test_solver_is_the_reference_loop_bit_for_bit(kind, data):
+    # the solver's loop, which carries one product M x per iterate, returns
+    # what the reference loop's plain value and gradient calls do
     red, rel, x0, tol = data.draw(node_problems(kind))
     max_iter = data.draw(st.sampled_from([0, 1, 5, projgrad.SOLVE_MAX_ITER]))
     assert_matches_reference(red, rel, x0, tol, max_iter)
@@ -407,28 +423,14 @@ def test_residual_skip_is_bit_identical_to_the_two_projection_loop(kind, data):
 @pytest.mark.parametrize("kind", ["sdp", "eig"])
 @settings(max_examples=60)
 @given(data=st.data())
-def test_step_bounds_the_residual_and_every_converged_stop_is_within_tol(kind, data):
-    # A pass forms P(x - g) only when min(1, 1/alpha) ||P(x - alpha g) - x||
-    # is at most 2 tol: by Calamai & More 1987, Lemma 2.2, that lower end is
-    # at most the exact residual, so a skipped pass has not converged.  That
-    # holds at every pass up to rounding, and every converged stop is
-    # stationary to tol.  The passes are the reference loop's, which the
-    # tests above hold bit for bit to the solver's.
+def test_every_converged_stop_is_within_tol(kind, data):
+    # a converged relaxation or descent is stationary to tol at the exact gradient
     red, rel, x0, tol = data.draw(node_problems(kind))
     report, _ = qc.solve_convex(rel, x0, tol=tol)
     out = qc.descend_nonconvex(red, report.x, tol=tol)
-    for problem, start, stopped in ((rel, x0, report), (red, report.x, out)):
+    for problem, stopped in ((rel, report), (red, out)):
         if stopped.converged:
             assert exact_residual(problem.grad, stopped.x, problem.fset) <= tol
-        passes = []
-        face_step = projgrad._face_step if problem is rel else None
-        reference_gp_loop(problem, start, tol, stopped.iterations, passes=passes,
-                          face_step=face_step)
-        for x, g, alpha in passes:
-            step = np.linalg.norm(qc.project(x - alpha * g, problem.fset) - x)
-            assert min(1.0, 1.0 / alpha) * step <= (
-                exact_residual(problem.grad, x, problem.fset) + 1e-13
-            )
 
 
 def test_a_zero_step_stops_on_its_exact_residual():
@@ -464,8 +466,8 @@ def test_a_negative_iteration_cap_is_rejected_by_both_solvers():
 
 @pytest.mark.parametrize("seed, case", _stationarity_cases())
 def test_residual_skip_matches_the_reference_down_to_tol_1e_12(seed, case):
-    # the residual skip leaves every solve unchanged down to tol 1e-12, where
-    # residuals end close to tol and the skip's margin is narrowest
+    # the solver is the reference loop, bit for bit, down to tol 1e-12, where
+    # residuals end close to tol
     qp, order = stationarity_case_qp(seed, case)
     for shift in (qc.sdp_shift(qp.M), qc.sigma_shift(qp.M)):
         for label in ((), (1,), (0, 1)):
