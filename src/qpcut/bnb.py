@@ -36,7 +36,11 @@ weight exactly.  Only a relaxed node can be expanded, and it leaves both
 children feasible, so the search never makes an infeasible subproblem.  The
 full-length incumbent is assembled once, at exit.
 
-Relaxations and descents stop by the defaults of qpcut.projgrad.
+Relaxations and descents stop by the defaults of qpcut.projgrad.  The
+fixed order makes a node's free count n determine its free vertices (the
+last n of the order), hence its block of M and its slice of lam, within one
+solve, so all relaxations of a solve share one face table: each depth's
+full-face Newton system is built and inverted once (projgrad._full_face).
 all_relaxations_converged is true when every relaxation's SolveReport.stop
 is 'converged' or 'cutoff', and false when one stopped at its iteration cap
 or at the rounding floor first.  At exit, lower_bound is the value when
@@ -175,6 +179,7 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
     bound_trace = []
     best, best_val = None, math.inf  # best: (label, free vertices, their bits)
     all_converged = True
+    faces = {}  # the face table every relaxation of this solve shares
     cutoff = prune_threshold(best_val, integral)  # reset when the incumbent improves
     # heap entries: (bound, -depth, node_count, label, red, relax_x); node_count breaks ties FIFO
     heap = []
@@ -192,7 +197,8 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
                 bound = val = red.value(y)
             else:
                 x0 = project(x_start, red.fset)
-                report, cert = solve_convex(build_relaxation(red, shift), x0, cutoff=cutoff)
+                report, cert = solve_convex(build_relaxation(red, shift), x0, cutoff=cutoff,
+                                            _faces=faces)
                 x, bound = report.x, max(cert, parent_bound)
                 all_converged = all_converged and report.stop in ("converged", "cutoff")
                 val = math.inf  # no candidate unless the depth is 0 or a power of two

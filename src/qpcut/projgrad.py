@@ -28,6 +28,17 @@ relaxations stop at their first residual.  The step keeps the iterate
 feasible and, the quadratic being convex, does not raise it, and the
 certificate holds at any feasible point, so bounds stay sound.  The
 nonconvex descent takes no face step.
+
+The face systems come from a face table (_full_face) that a solve_convex
+call makes for itself, or that branch and bound passes to every relaxation
+of one solve, where all nodes of a depth share one Hessian block.  For each
+size n and budget flag the table holds the full face's system and its
+inverse, built on first use, so in branch and bound each depth's full face
+is factored once per solve.  A full face, nearly every face on small dense
+graphs, is then solved by z = K^-1 r and one refinement step
+z -= K^-1 (K z - r); without that step an explicit inverse loses enough
+accuracy that relaxations far below the default tol take more iterations.
+A partial face gathers its block from the table's H and is solved by LU.
 """
 
 from __future__ import annotations
@@ -158,22 +169,27 @@ def _breakpoint_root(x, fset: FeasibleSet, target: float) -> float:
     return bps[k] + (need - (dropped[k - 1] if k else 0.0)) / nfree[k]
 
 
-def _face_step(problem, fset, x, g):
+def _face_step(problem, fset, x, g, faces):
     """One Newton step on the active face of x for a relaxation; the new point or None.
 
     The face holds the coordinates strictly inside (0, 1) (margin 1e-12),
     and the budget row when sum(x) is within 1e-9 max(1, n) of lo or hi.  On
     it the step d solves H_FF d = -g_F, bordered by the budget row
     [H_FF 1; 1^T 0][d; nu] = [-g_F; 0] when that is active, with
-    H = 2 (Diag(lam) - M); lstsq stands in when the system is singular.  With
-    the budget active, d is re-centred onto sum(d) = 0 and tested with the
-    reduced gradient g_F + nu: on the face g . d is the same number, free of
-    the cancellation of nu * sum(d) against rounding in a step that is near
-    zero.  The step length is the exact line search -g.d / d^T H d, capped
-    by a ratio test that keeps the box and, with the budget inactive, the
-    window.  The point is returned only for a descent direction (g.d < 0)
+    H = 2 (Diag(lam) - M).  faces is the solve's face table (_full_face).
+    A full face (every coordinate inside) takes its system and inverse from
+    it and is solved by the inverse with one refinement step.  A partial
+    face gathers H_FF from the table's H, the same bits as
+    2 (Diag(lam_F) - M_FF), and is solved by LU, since one inverse costs
+    two to three LU solves at k >= 20 and the table keeps no partial face.
+    With the budget active, d is re-centred onto sum(d) = 0 and tested with
+    the reduced gradient g_F + nu: on the face g . d is the same number,
+    free of the cancellation of nu * sum(d) against rounding in a step that
+    is near zero.  The step length is the exact line search -g.d / d^T H d,
+    capped by a ratio test that keeps the box and, with the budget inactive,
+    the window.  The point is returned only for a descent direction (g.d < 0)
     and when it lies in fset to 1e-9, so it is feasible and, H being PSD,
-    no worse than x.
+    no worse than x, however exactly d solves its system.
     """
     inner = (x > 1e-12) & (x < 1.0 - 1e-12)
     k = int(np.count_nonzero(inner))
@@ -182,21 +198,19 @@ def _face_step(problem, fset, x, g):
     s = float(np.add.reduce(x))
     slack = 1e-9 * max(1.0, x.size)
     on_budget = abs(s - fset.lo) <= slack or abs(s - fset.hi) <= slack
+    h, kkt, inv = _full_face(problem, faces, on_budget)
     if k == x.size:
-        m, lam, gf, xf = problem.M, problem.lam, g, x
+        gf, xf = g, x
     else:
         face = np.flatnonzero(inner)
-        m, lam, gf, xf = problem.M[np.ix_(face, face)], problem.lam[face], g[face], x[face]
-    h = 2.0 * (np.diag(lam) - m)
+        h, gf, xf = h[np.ix_(face, face)], g[face], x[face]
+        kkt, inv = _kkt(h, on_budget), None
     if on_budget:
-        kkt = np.ones((k + 1, k + 1))
-        kkt[:k, :k] = h
-        kkt[k, k] = 0.0
-        sol = _solve(kkt, np.append(-gf, 0.0))
+        sol = _solve(kkt, inv, np.append(-gf, 0.0))
         d = sol[:k] - np.add.reduce(sol[:k]) / k
         gf = gf + sol[k]
     else:
-        d = _solve(h, -gf)
+        d = _solve(kkt, inv, -gf)
     a = float(gf @ d)
     if not a < 0.0:
         return None
@@ -215,15 +229,53 @@ def _face_step(problem, fset, x, g):
     return y if fset.contains(y, 1e-9) else None
 
 
-def _solve(a, rhs):
-    """a^-1 rhs, or the least-squares solution when a is singular."""
+def _full_face(problem, faces, on_budget):
+    """(H, K, K^-1) of problem's full face, from the table faces, built on first use.
+
+    faces maps (n, on_budget) to H = 2 (Diag(lam) - M), the face system K
+    (H itself, or H bordered by the budget row) and K^-1, or None when K is
+    singular, which leaves _solve to LU and lstsq.  One table serves every
+    relaxation of a solve only where n determines M and lam, as it does in
+    branch and bound's fixed order (qpcut.bnb); it then holds at most 2 n
+    entries.
+    """
+    key = (problem.n, on_budget)
+    entry = faces.get(key)
+    if entry is None:
+        h = 2.0 * (np.diag(problem.lam) - problem.M)
+        kkt = _kkt(h, on_budget)
+        try:
+            inv = np.linalg.inv(kkt)
+        except np.linalg.LinAlgError:
+            inv = None
+        entry = faces[key] = (h, kkt, inv)
+    return entry
+
+
+def _kkt(h, on_budget):
+    """h, bordered by the budget row [h 1; 1^T 0] when that is active."""
+    if not on_budget:
+        return h
+    k = h.shape[0]
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = h
+    kkt[k, k] = 0.0
+    return kkt
+
+
+def _solve(a, inv, rhs):
+    """a^-1 rhs: from inv = a^-1 with one refinement step, or, when inv is
+    None, by LU, and by lstsq when a is singular."""
+    if inv is not None:
+        z = inv @ rhs
+        return z - inv @ (a @ z - rhs)
     try:
         return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(a, rhs, rcond=None)[0]
 
 
-def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
+def _gp_loop(problem, x0, tol, max_iter, cutoff=None, faces=None):
     """Gradient projection on a quadratic problem from x0; returns (report, bound).
 
     The Hessian of const + lin . x - x^T (M - Diag(lam)) x is -2 times
@@ -233,12 +285,14 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     of problem.grad and problem.value.  Each step forms one more product
     problem.matvec(d), which gives the segment curvature
     d^T H d = -2 d . matvec(d) and the Barzilai-Borwein step d^T d / d^T H d.
+    The first step's alpha is 1 / max |g| at x0, formed only when a pass
+    first steps: most relaxations stop before any step.
 
-    Every pass works in one order: on a relaxation (problem.lam set) the
-    face step of _face_step; the cutoff check on checked iterations; the
-    residual P(x - g) - x, which stops 'converged' when its norm is at most
-    tol; the cap, which stops 'cap' at max_iter; then the step.  A pass
-    that would step stops 'floor' instead when f(x) is not strictly below
+    Every pass works in one order: given a face table (faces, which
+    solve_convex passes for a relaxation) the face step of _face_step; the
+    cutoff check on checked iterations; the residual P(x - g) - x, which
+    stops 'converged' when its norm is at most tol; the cap, which stops
+    'cap' at max_iter; then the step.  A pass that would step stops 'floor' instead when f(x) is not strictly below
     the value the last pass stepped from (far below the default tol the face
     step and the gradient step can otherwise trade moves of a few ulps until
     the cap), when d = P(x - alpha g) - x is zero, or when the segment
@@ -260,17 +314,15 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
     if not fset.contains(x, tol=1e-9):
         raise ValueError("starting point is infeasible")
     mx = problem.matvec(x)
-    g = problem.grad_from(mx)
-    gmax = float(np.maximum.reduce(np.abs(g))) if g.size else 0.0
-    alpha = 1.0 if gmax == 0.0 else 1.0 / gmax
-    alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
+    g = g0 = problem.grad_from(mx)
+    alpha = None  # formed from g0 when a pass first steps
 
     relax = problem.lam is not None
     bound = None
     last = math.inf  # f at the last pass that stepped
     for iterations in range(max_iter + 1):
-        if relax:  # the face step: before the first pass and after every step
-            y = _face_step(problem, fset, x, g)
+        if faces is not None:  # the face step: before the first pass and after every step
+            y = _face_step(problem, fset, x, g, faces)
             if y is not None:
                 x = y
                 mx = problem.matvec(x)
@@ -297,6 +349,9 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
             stop = "floor"  # the last pass lowered f by nothing in floating point
             break
         last = value
+        if alpha is None:
+            gmax = float(np.maximum.reduce(np.abs(g0), initial=0.0))
+            alpha = min(max(1.0 if gmax == 0.0 else 1.0 / gmax, ALPHA_MIN), ALPHA_MAX)
         d = project(x - alpha * g, fset) - x
         dd = float(d @ d)
         if dd == 0.0 and not d.any():
@@ -324,7 +379,8 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None):
 
 
 def solve_convex(rel: ReducedQp, x0=None, tol: float = RESIDUAL_TOL,
-                 max_iter: int = SOLVE_MAX_ITER, cutoff: float | None = None):
+                 max_iter: int = SOLVE_MAX_ITER, cutoff: float | None = None, *,
+                 _faces: dict | None = None):
     """Minimize the convex relaxation; returns (report, certified lower bound).
 
     The objective is monotone nonincreasing across accepted steps, face
@@ -336,13 +392,15 @@ def solve_convex(rel: ReducedQp, x0=None, tol: float = RESIDUAL_TOL,
     bound returned is then the one that passed the cutoff.  The checks never
     alter the iterates, so a solve that no check stops returns what
     cutoff=None does.  A subproblem (lam None), which has no certified
-    bound, raises ValueError before any iteration.
+    bound, raises ValueError before any iteration.  _faces is the face
+    table of _full_face, which branch and bound shares across the
+    relaxations of one solve; without it the solve makes its own.
     """
     if rel.lam is None:
         raise ValueError("solve_convex takes a relaxation, not a subproblem")
     if x0 is None:
         x0 = project(np.full(rel.n, 0.5), rel.fset)
-    return _gp_loop(rel, x0, tol, max_iter, cutoff)
+    return _gp_loop(rel, x0, tol, max_iter, cutoff, {} if _faces is None else _faces)
 
 
 def descend_nonconvex(problem, x0, tol: float = RESIDUAL_TOL,

@@ -194,14 +194,16 @@ def projection_oracle(x, fset):
 
 
 def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.project,
-                      face_step=None):
+                      face_step=None, faces=None):
     """qpcut.projgrad._gp_loop written out from problem.value and problem.grad
     instead of one product per iterate.  A pass takes the face step (when
     face_step is given: qpcut.projgrad._face_step follows a relaxation's
-    loop), then on checked iterations the cutoff test, projects x - g for the
-    exact residual and, unless it stops first, x - alpha g for the step.
+    loop, with the face table faces or a new one), then on checked
+    iterations the cutoff test, projects x - g for the exact residual and,
+    unless it stops first, x - alpha g for the step.
     Returns (report, bound) like that loop; project can count the calls."""
     fset = problem.fset
+    faces = {} if faces is None else faces
     x = np.asarray(x0, dtype=float).copy()
     g = problem.grad(x)
     gmax = float(np.abs(g).max()) if g.size else 0.0
@@ -212,7 +214,7 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
     bound = None
     last = math.inf
     for iterations in range(max_iter + 1):
-        y = None if face_step is None else face_step(problem, fset, x, g)
+        y = None if face_step is None else face_step(problem, fset, x, g, faces)
         if y is not None:
             x = y
             g = problem.grad(x)
@@ -259,12 +261,13 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
 
 
 def reference_solve_convex(rel, x0=None, tol=RESIDUAL_TOL, max_iter=SOLVE_MAX_ITER,
-                           cutoff=None):
+                           cutoff=None, *, _faces=None):
     """qpcut.solve_convex on reference_gp_loop, with the final bound from
-    qpcut.certified_lower_bound."""
+    qpcut.certified_lower_bound; _faces is forwarded as its face table."""
     if x0 is None:
         x0 = qc.project(np.full(rel.n, 0.5), rel.fset)
-    report, bound = reference_gp_loop(rel, x0, tol, max_iter, cutoff, face_step=_face_step)
+    report, bound = reference_gp_loop(rel, x0, tol, max_iter, cutoff, face_step=_face_step,
+                                      faces=_faces)
     if bound is None:
         bound = qc.certified_lower_bound(rel, report.x)
     return report, bound

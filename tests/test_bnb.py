@@ -233,6 +233,50 @@ def test_search_is_the_reference_solvers_bit_for_bit(monkeypatch, bound, lo, hi)
     assert (g.weights < 0).any() and shipped.node_count > 10
 
 
+@pytest.mark.parametrize("bound", ["sdp", "eig"])
+@pytest.mark.parametrize("lo, hi", [(5, 5), (2, 6)], ids=["bisect", "window"])
+def test_the_face_table_does_not_change_the_search(monkeypatch, bound, lo, hi):
+    # A solve passes one face table to all its relaxations.  Each entry must be
+    # the face system of every relaxation of its size, the table must be new
+    # for each solve and hold at most 2 entries per relaxed size, and a fresh
+    # table per relaxation must give the same search.  Two graphs of one size
+    # are solved in turn, so a table that outlived its solve would be caught.
+    spec = qc.PartitionSpec(lo, hi)
+    config = BnbConfig(bound=bound)
+
+    def checked(rel, *args, _faces, **kwargs):
+        tables.append(_faces)
+        sizes.add(rel.n)
+        out = qc.solve_convex(rel, *args, _faces=_faces, **kwargs)
+        h = 2.0 * (np.diag(rel.lam) - rel.M)
+        for on_budget in (False, True):
+            entry = _faces.get((rel.n, on_budget))
+            if entry is not None:
+                assert np.array_equal(entry[0], h)
+        return out
+
+    def fresh(rel, *args, _faces, **kwargs):
+        return qc.solve_convex(rel, *args, _faces={}, **kwargs)
+
+    seen = []
+    for seed in (11, 12):
+        g = random_graph(10, 0.6, seed)
+        tables, sizes = [], set()
+        monkeypatch.setattr(qc.bnb, "solve_convex", checked)
+        shared = qc.solve(g, spec, config)
+        table = tables[0]
+        assert all(t is table for t in tables) and not any(t is table for t in seen)
+        seen.append(table)
+        assert table and {n for n, _ in table} <= sizes
+        assert len(table) <= 2 * len(sizes) <= 2 * g.n
+        monkeypatch.setattr(qc.bnb, "solve_convex", fresh)
+        ref = qc.solve(g, spec, config)
+        assert len(shared.node_bounds) == len(ref.node_bounds)
+        assert dict(shared.node_bounds) == dict(ref.node_bounds)
+        assert (shared.node_count, shared.value, shared.lower_bound) == (
+            ref.node_count, ref.value, ref.lower_bound)
+
+
 def test_node_limit_and_time_limit_statuses():
     g = qc.gen_mixed(3, 4, seed=1)
     spec = qc.PartitionSpec(6, 6)

@@ -37,9 +37,9 @@ def steps(rel, x0):
     """The face steps from x0 until one is declined, at most n + 2: a capped
     step leaves a smaller face, an uncapped one a face minimiser, from which
     the next step starts at a reduced gradient of rounding size."""
-    x = x0
+    x, faces = x0, {}
     for _ in range(x0.size + 2):
-        y = _face_step(rel, rel.fset, x, rel.grad(x))
+        y = _face_step(rel, rel.fset, x, rel.grad(x), faces)
         if y is None:
             return
         yield x, y
@@ -75,10 +75,10 @@ def test_face_step_ends_on_a_face_minimiser_or_on_the_bound_it_hit(kind, data):
     _, rel, x0, _ = data.draw(node_problems(kind))
     fset = rel.fset
     tol = 1e-9 * max(1.0, float(np.abs(rel.M).sum(axis=1).max(initial=0.0)))
-    x = x0
+    x, faces = x0, {}
     for _ in range(x0.size + 2):
         face, on_budget = face_of(rel, x)
-        y = _face_step(rel, fset, x, rel.grad(x))
+        y = _face_step(rel, fset, x, rel.grad(x), faces)
         if face.size == 0 or (on_budget and face.size == 1):
             assert y is None  # x is a vertex of the set
             return

@@ -255,7 +255,7 @@ def test_each_stop_reason_is_reached_and_reported():
     qp = seeded_qp(2)
     rel = qc.build_relaxation(qc.reduce(qp, ()), qc.sdp_shift(qp.M))
     x0 = qc.project(np.linspace(0.0, 1.0, rel.n), rel.fset)
-    x1 = projgrad._face_step(rel, rel.fset, x0, rel.grad(x0))
+    x1 = projgrad._face_step(rel, rel.fset, x0, rel.grad(x0), {})
     assert x1 is not None and exact_residual(rel.grad, x1, rel.fset) > 1.0
 
     report, _ = qc.solve_convex(rel, x0)
@@ -399,7 +399,7 @@ def test_a_face_stepped_start_that_has_converged_projects_once():
             for label in ((), (1,), (0, 1)):
                 rel = qc.build_relaxation(qc.reduce(qp, label), shift)
                 x0 = qc.project(np.full(rel.n, 0.5), rel.fset)
-                if projgrad._face_step(rel, rel.fset, x0, rel.grad(x0)) is None:
+                if projgrad._face_step(rel, rel.fset, x0, rel.grad(x0), {}) is None:
                     continue
                 with counted_projections() as calls:
                     report, _ = qc.solve_convex(rel, x0)
