@@ -23,7 +23,7 @@ rule already grants.  A node with one completion takes that completion's
 value as its exact bound and its candidate, with no relaxation, which could
 only have certified that value; it meets the same prune test.  A relaxed
 node that is not pruned gets a candidate only at depth 0 or a power of two
-(0, 1, 2, 4, 8, ..., the schedule on which a relaxation checks its cutoff),
+(0, 1, 2, 4, 8, ...),
 and is queued either way.  The root thus always gets one, so a search never
 ends without an incumbent.  The incumbent serves only to prune: every
 reported value is a candidate's exact value, and neither lower_bound nor

@@ -5,18 +5,17 @@ descent, since both minimize a quadratic const + lin . x - x^T M x over
 the unit box and budget window:
 x_{k+1} = x_k + t* (P(x_k - alpha_k g_k) - x_k), where alpha_k is a
 safeguarded Barzilai-Borwein steplength and t* minimizes the quadratic
-exactly on the segment (best endpoint when the segment quadratic is
-concave).  Each pass forms the unit-step projected-gradient residual
-||P(x - g) - x|| first and stops when it is within tol, or at the iteration
-cap; only a pass that goes on projects x - alpha g for its step.  The
-defaults below are the ones branch and bound uses.  Each iterate costs one
-product M x, from which the exact gradient, and where needed the value and
-the certified bound, are taken.  A relaxation solve given a cutoff also
-stops as soon as its certified lower bound, checked at iterations 0, 1, 2,
-4, 8, ... before that pass's residual, is above the cutoff: branch and bound
-then prunes the node, and more iterations could not change that.  A checked
-iterate that has also converged therefore reports 'cutoff', with the bound
-a converged stop there would return.
+exactly on the segment (t* = 1 when the segment quadratic is concave).
+Each pass forms the unit-step projected-gradient residual ||P(x - g) - x||
+and stops when it is within tol, or at the iteration cap; only a pass that
+goes on projects x - alpha g for its step.  The defaults below are the ones
+branch and bound uses.  Each iterate costs one product M x, from which the
+exact gradient, the value and, where needed, the certified bound are taken.
+A relaxation solve given a cutoff also stops as soon as its certified lower
+bound, checked on every pass before its residual, is above the cutoff:
+branch and bound then prunes the node, and more iterations could not change
+that.  An iterate that passes the check and has also converged therefore
+reports 'cutoff', with the bound a converged stop there would return.
 
 On a relaxation (convex, lam set) every pass starts with a face step, so
 before the first pass and after every gradient projection step: gradient
@@ -66,8 +65,9 @@ class SolveReport:
 
     stop: 'converged' (residual within tol), 'cutoff' (certified bound above
     the cutoff), 'cap' (max_iter reached) or 'floor' (no descent left in
-    floating point: a pass whose value is not below the one the last pass
-    stepped from, a zero step, or a segment search that returns t = 0).
+    floating point, for one of two causes: a pass whose value is not below
+    the one the last pass stepped from, or a step direction d with
+    g . d >= 0, which a zero step has).
     """
 
     x: np.ndarray
@@ -279,33 +279,38 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, faces=None):
     """Gradient projection on a quadratic problem from x0; returns (report, bound).
 
     The Hessian of const + lin . x - x^T (M - Diag(lam)) x is -2 times
-    problem.matvec.  Each iterate costs one product mx = problem.matvec(x):
-    the gradient and, where a check or the certificate needs it, the value
-    are taken from it by problem.grad_from and problem.value_from, the code
-    of problem.grad and problem.value.  Each step forms one more product
-    problem.matvec(d), which gives the segment curvature
-    d^T H d = -2 d . matvec(d) and the Barzilai-Borwein step d^T d / d^T H d.
-    The first step's alpha is 1 / max |g| at x0, formed only when a pass
-    first steps: most relaxations stop before any step.
+    problem.matvec.  Each iterate costs one product mx = problem.matvec(x),
+    from which problem.grad_from and problem.value_from, the code of
+    problem.grad and problem.value, take the gradient and the value.  Each
+    step forms one more product problem.matvec(d), which gives the segment
+    curvature d^T H d = -2 d . matvec(d) and the Barzilai-Borwein step
+    d^T d / d^T H d.  The first step's alpha is 1 / max |g| at x0, formed
+    only when a pass first steps: most relaxations stop before any step.
 
-    Every pass works in one order: given a face table (faces, which
-    solve_convex passes for a relaxation) the face step of _face_step; the
-    cutoff check on checked iterations; the residual P(x - g) - x, which
-    stops 'converged' when its norm is at most tol; the cap, which stops
-    'cap' at max_iter; then the step.  A pass that would step stops 'floor' instead when f(x) is not strictly below
-    the value the last pass stepped from (far below the default tol the face
-    step and the gradient step can otherwise trade moves of a few ulps until
-    the cap), when d = P(x - alpha g) - x is zero, or when the segment
-    search returns t = 0.
+    Every pass works in one order:
+    1. given a face table (faces, which solve_convex passes for a
+       relaxation), the face step of _face_step;
+    2. the value f(x), taken once;
+    3. the cutoff check, when f(x) is above the cutoff (no certified bound
+       exceeds f_L(x)), which stops 'cutoff' when the certified lower bound
+       is above it too;
+    4. the residual P(x - g) - x, which stops 'converged' when its norm is
+       at most tol;
+    5. the cap, which stops 'cap' at max_iter;
+    6. the floor, which stops 'floor' when f(x) is not strictly below the
+       value the last pass stepped from (far below the default tol the face
+       step and the gradient step can otherwise trade moves of a few ulps
+       until the cap);
+    7. the step along d = P(x - alpha g) - x, which stops 'floor' unless
+       g . d < 0 and otherwise takes the exact segment minimizer
+       t = min(1, -g.d / d^T H d), or t = 1 where the segment quadratic is
+       concave or flat.  The projection inequality gives
+       g . d <= -||d||^2 / alpha, so only a zero d or rounding stops here.
 
-    With a cutoff, problem must be a convex relaxation: its certified lower
-    bound is computed at iterations 0, 1, 2, 4, 8, ..., after that pass's
-    face step and before its residual, and the loop stops with stop
-    'cutoff' when it is above the cutoff, returning that bound.  No
-    certified bound exceeds min f_L, so the checks end once f_L(x) is at
-    most the cutoff.  They never alter the iterates.  A relaxation that
-    stops for any other reason returns the certified bound at its last
-    iterate; a subproblem returns None.
+    With a cutoff, problem must be a convex relaxation.  The checks never
+    alter the iterates.  A 'cutoff' stop returns the bound that passed; a
+    relaxation that stops for any other reason returns the certified bound
+    at its last iterate, and a subproblem returns None.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
@@ -317,7 +322,6 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, faces=None):
     g = g0 = problem.grad_from(mx)
     alpha = None  # formed from g0 when a pass first steps
 
-    relax = problem.lam is not None
     bound = None
     last = math.inf  # f at the last pass that stepped
     for iterations in range(max_iter + 1):
@@ -327,16 +331,13 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, faces=None):
                 x = y
                 mx = problem.matvec(x)
                 g = problem.grad_from(mx)
-        if cutoff is not None and not iterations & (iterations - 1):
-            value = problem.value_from(x, mx)
-            if value <= cutoff:
-                cutoff = None  # no certified bound exceeds min f_L <= f_L(x)
-            else:
-                cert = certified_lower_bound(problem, x, g, value)
-                if cert > cutoff:
-                    bound = cert
-                    stop = "cutoff"
-                    break
+        value = problem.value_from(x, mx)
+        if cutoff is not None and value > cutoff:
+            cert = certified_lower_bound(problem, x, g, value)
+            if cert > cutoff:
+                bound = cert
+                stop = "cutoff"
+                break
         r = project(x - g, fset) - x
         if math.sqrt(r @ r) <= tol:
             stop = "converged"
@@ -344,7 +345,6 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, faces=None):
         if iterations == max_iter:
             stop = "cap"
             break
-        value = problem.value_from(x, mx)
         if not value < last:
             stop = "floor"  # the last pass lowered f by nothing in floating point
             break
@@ -353,28 +353,20 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, faces=None):
             gmax = float(np.maximum.reduce(np.abs(g0), initial=0.0))
             alpha = min(max(1.0 if gmax == 0.0 else 1.0 / gmax, ALPHA_MIN), ALPHA_MAX)
         d = project(x - alpha * g, fset) - x
-        dd = float(d @ d)
-        if dd == 0.0 and not d.any():
-            stop = "floor"  # fixed point for this steplength, short of tol
+        a = float(g @ d)
+        if not a < 0.0:
+            stop = "floor"  # no descent direction left in floating point
             break
-        a = float(g @ d)  # < 0 by the projection inequality
         b = -2.0 * float(d @ problem.matvec(d))  # d^T H d
-        if b > 0.0:
-            t = min(1.0, -a / b)
-        else:
-            # concave (or flat) segment quadratic: best endpoint
-            t = 1.0 if a + 0.5 * b <= 0.0 else 0.0
-        if t <= 0.0:
-            stop = "floor"  # no descent left in floating point
-            break
+        t = min(1.0, -a / b) if b > 0.0 else 1.0
         x = x + t * d
         mx = problem.matvec(x)
         g = problem.grad_from(mx)
         # BB step s.s / s.y with s = t d and y = t Hd
-        alpha = dd / b if t * t * b > 1e-30 else ALPHA_MAX
+        alpha = float(d @ d) / b if t * t * b > 1e-30 else ALPHA_MAX
         alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
-    if relax and stop != "cutoff":
-        bound = certified_lower_bound(problem, x, g, problem.value_from(x, mx))
+    if problem.lam is not None and stop != "cutoff":
+        bound = certified_lower_bound(problem, x, g, value)
     return SolveReport(x=x, iterations=iterations, stop=stop), bound
 
 
@@ -389,11 +381,11 @@ def solve_convex(rel: ReducedQp, x0=None, tol: float = RESIDUAL_TOL,
     The returned bound is certified at the final iterate, which need only be
     feasible, so it stays sound even when the iteration cap is hit.  Given
     a cutoff, the solve may stop early with report.stop == 'cutoff'; the
-    bound returned is then the one that passed the cutoff.  The checks never
-    alter the iterates, so a solve that no check stops returns what
-    cutoff=None does.  A subproblem (lam None), which has no certified
-    bound, raises ValueError before any iteration.  _faces is the face
-    table of _full_face, which branch and bound shares across the
+    bound returned is then the one that passed the cutoff, checked on every
+    pass.  The checks never alter the iterates, so a solve that no check
+    stops returns what cutoff=None does.  A subproblem (lam None), which has
+    no certified bound, raises ValueError before any iteration.  _faces is
+    the face table of _full_face, which branch and bound shares across the
     relaxations of one solve; without it the solve makes its own.
     """
     if rel.lam is None:
@@ -407,8 +399,9 @@ def descend_nonconvex(problem, x0, tol: float = RESIDUAL_TOL,
                       max_iter: int = DESCENT_MAX_ITER) -> SolveReport:
     """Run the same iteration on the nonconvex objective itself.
 
-    The segment quadratic can be concave here; the exact linesearch then
-    picks the better endpoint, so the objective never increases.  Terminates
-    at the stationarity residual or the iteration cap.
+    The segment quadratic can be concave here; the step then goes to the
+    far endpoint, t = 1, which along a descent direction is the better one,
+    so the objective never increases.  Terminates at the stationarity
+    residual, the iteration cap or the rounding floor.
     """
     return _gp_loop(problem, x0, tol, max_iter)[0]

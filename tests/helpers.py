@@ -198,9 +198,9 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
     """qpcut.projgrad._gp_loop written out from problem.value and problem.grad
     instead of one product per iterate.  A pass takes the face step (when
     face_step is given: qpcut.projgrad._face_step follows a relaxation's
-    loop, with the face table faces or a new one), then on checked
-    iterations the cutoff test, projects x - g for the exact residual and,
-    unless it stops first, x - alpha g for the step.
+    loop, with the face table faces or a new one), then the cutoff test
+    where f(x) is above the cutoff, projects x - g for the exact residual
+    and, unless it stops first, x - alpha g for the step.
     Returns (report, bound) like that loop; project can count the calls."""
     fset = problem.fset
     faces = {} if faces is None else faces
@@ -218,15 +218,13 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
         if y is not None:
             x = y
             g = problem.grad(x)
-        if cutoff is not None and not iterations & (iterations - 1):
-            if problem.value(x) <= cutoff:
-                cutoff = None
-            else:
-                cert = qc.certified_lower_bound(problem, x)
-                if cert > cutoff:
-                    bound = cert
-                    stop = "cutoff"
-                    break
+        value = problem.value(x)
+        if cutoff is not None and value > cutoff:
+            cert = qc.certified_lower_bound(problem, x)
+            if cert > cutoff:
+                bound = cert
+                stop = "cutoff"
+                break
         r = project(x - g, fset) - x
         if math.sqrt(r @ r) <= tol:
             stop = "converged"
@@ -234,25 +232,18 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
         if iterations == max_iter:
             stop = "cap"
             break
-        value = problem.value(x)
         if not value < last:
             stop = "floor"
             break
         last = value
         d = project(x - alpha * g, fset) - x
-        if not d.any():
+        a = float(g @ d)
+        if not a < 0.0:
             stop = "floor"
             break
-        a = float(g @ d)
         hd = -2.0 * problem.matvec(d)
         b = float(d @ hd)
-        if b > 0.0:
-            t = min(1.0, -a / b)
-        else:
-            t = 1.0 if a + 0.5 * b <= 0.0 else 0.0
-        if t <= 0.0:
-            stop = "floor"
-            break
+        t = min(1.0, -a / b) if b > 0.0 else 1.0
         x = x + t * d
         g = problem.grad(x)
         alpha = float(d @ d) / b if t * t * b > 1e-30 else ALPHA_MAX

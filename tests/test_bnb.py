@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import qpcut as qc
 from qpcut.bnb import EPS, BnbConfig, upper_bound_from
@@ -399,17 +399,30 @@ def forced_completion(g, spec, order, label):
     return side
 
 
+# a relaxed node at a depth that is not 0 or a power of two gets no
+# candidate, while a forced node always values its completion; a search that
+# relaxed every node would queue this graph's forced leaf without one and
+# fail to expand it, where the real search finds the oracle's -1 (window [2, 7])
+FORCED_LEAF_GRAPH = [
+    [0, 8, 5, 4, 0, 9, -1], [8, 0, 0, -1, 0, 0, 1], [5, 0, 0, 0, -2, -3, -1],
+    [4, -1, 0, 0, -1, 4, 2], [0, 0, -2, -1, 0, 2, 0], [9, 0, -3, 4, 2, 0, 9],
+    [-1, 1, -1, 2, 0, 9, 0],
+]
+
+
 @pytest.mark.parametrize("bound", ["sdp", "eig"])
 @settings(max_examples=100)
 @given(case=cut_instances())
-def test_forced_nodes_carry_their_completion_and_leave_the_search_unchanged(bound, case):
+@example(case=(qc.WeightedGraph(np.array(FORCED_LEAF_GRAPH, dtype=float)), qc.PartitionSpec(2, 7)))
+def test_forced_nodes_carry_their_completion_and_bound_their_relaxation(bound, case):
     # a node whose window leaves one completion is bounded by that
-    # completion's value instead of a relaxation; the relaxation could only
-    # have certified that value, so a search that relaxes every node decides
-    # every prune and every incumbent the same way
+    # completion's value instead of a relaxation, which could only have
+    # certified that value: its certified bound is at most the completion's
+    # cut, up to rounding (about 1e-14 here, integral weights too) within
+    # the EPS prune slack
     g, spec = case
-    config = BnbConfig(bound=bound)
-    sol = qc.solve(g, spec, config)
+    sol = qc.solve(g, spec, BnbConfig(bound=bound))
+    qp = qc.make_qp(g, spec)
     order = qc.order_vertices(g)
     for label, b in sol.node_bounds:
         side = forced_completion(g, spec, order, label)
@@ -420,14 +433,11 @@ def test_forced_nodes_carry_their_completion_and_leave_the_search_unchanged(boun
             assert b == cut, (label, b, cut)
         else:
             assert abs(b - cut) <= EPS, (label, b, cut)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qc.bnb, "forced_bit", lambda red: None)
-        relaxed = qc.solve(g, spec, config)
-    assert [label for label, _ in relaxed.node_bounds] == [label for label, _ in sol.node_bounds]
-    assert relaxed.node_count == sol.node_count
-    assert relaxed.value == sol.value
-    assert relaxed.bound_trace == sol.bound_trace
-    assert relaxed.incumbent_trace == sol.incumbent_trace
+        rel = qc.build_relaxation(qc.reduce(qp, label, order), sol.shift)
+        _, cert = qc.solve_convex(rel)
+        assert cert <= cut + EPS, (label, cert, cut)
+    opt, _ = qc.brute_force(g, spec)
+    assert opt - 1e-9 <= sol.value <= opt + EPS
 
 
 @pytest.mark.parametrize("lo, hi", [(5, 5), (2, 6)], ids=["bisect", "window"])

@@ -206,8 +206,8 @@ def test_relaxations_below_the_default_tol_stop_at_a_rounding_floor(tol, max_cap
     # (27 at iteration 0): the face step lands on the face's minimiser.  An
     # unconverged solve below the default tol must stop at the cap (at most
     # max_capped of them) or at the rounding floor, where the projected step
-    # is no longer a descent direction in floating point (g.d >= 0, so the
-    # exact segment search returns t = 0), with a small exact residual and
+    # is no longer a descent direction in floating point (g.d >= 0) or f is
+    # not below the last stepped pass's value, with a small exact residual and
     # nothing left for a fresh start to gain.  Without the face step, 21
     # solves stopped there at 1e-8 (1 at the cap) and 27 at 1e-12 (3 at the
     # cap).
@@ -279,6 +279,21 @@ def test_each_stop_reason_is_reached_and_reported():
     assert 1e-15 < exact_residual(rel.grad, report.x, rel.fset) < 1e-6
 
 
+def test_the_cutoff_is_checked_on_every_pass():
+    # the certified bounds of this relaxation's iterates climb from -19.8 and
+    # first pass -11 at iteration 3, which is not a power of two; a loop that
+    # checked only iterations 0, 1, 2, 4, ... would stop at 4, bound -9.30
+    qp = seeded_qp(2)
+    rel = qc.build_relaxation(qc.reduce(qp, (1,)), qc.sdp_shift(qp.M))
+    x0 = qc.project(np.linspace(0.0, 1.0, rel.n), rel.fset)
+    report, bound = qc.solve_convex(rel, x0, cutoff=-11.0)
+    assert (report.stop, report.iterations) == ("cutoff", 3)
+    assert bound == pytest.approx(-10.2080, abs=1e-4)
+    third = qc.solve_convex(rel, x0, max_iter=3)[0].x
+    assert bound == qc.certified_lower_bound(rel, third)
+    assert np.array_equal(report.x, third)
+
+
 def node_relaxations(kind):
     """(rel, x0, tol) of node_problems."""
     return node_problems(kind).map(lambda case: case[1:])
@@ -295,14 +310,14 @@ def assert_same_report(report, ref):
 
 def checkpoint_bounds(rel, x0, tol):
     """The uncut solve, and (iteration, certified bound, iterate) at every
-    iteration 0, 1, 2, 4, ... that a cutoff solve would check."""
+    iteration, each of which a cutoff solve checks."""
     full, _ = qc.solve_convex(rel, x0, tol=tol, max_iter=CUT_MAX_ITER)
     checks = []
     j = 0
     while j <= full.iterations:  # the stop iterate too: the cutoff test comes first
         x = qc.solve_convex(rel, x0, tol=tol, max_iter=j)[0].x  # the j-th iterate
         checks.append((j, qc.certified_lower_bound(rel, x), x))
-        j = 2 * j or 1
+        j += 1
     return full, checks
 
 
@@ -314,7 +329,7 @@ def test_cutoff_stop_returns_a_certificate_above_the_cutoff(kind, data):
     full, checks = checkpoint_bounds(rel, x0, tol)
     _, target, _ = data.draw(st.sampled_from(checks))
     cutoff = target - data.draw(st.sampled_from([1e-9, 0.5, 5.0])) * (1.0 + abs(target))
-    # the first checked iterate whose bound passes the cutoff ends the solve
+    # the first iterate whose bound passes the cutoff ends the solve
     first, bound_there, x_there = next(c for c in checks if c[1] > cutoff)
     report, bound = qc.solve_convex(rel, x0, tol=tol, max_iter=CUT_MAX_ITER, cutoff=cutoff)
     assert report.stop == "cutoff"
@@ -328,7 +343,7 @@ def test_cutoff_stop_returns_a_certificate_above_the_cutoff(kind, data):
 @settings(max_examples=100)
 @given(data=st.data())
 def test_cutoff_that_never_passes_leaves_the_solve_unchanged(kind, data):
-    # cutoff=None is the plain solve; a cutoff no checked bound passes must
+    # cutoff=None is the plain solve; a cutoff no iterate's bound passes must
     # not alter a single iterate or any field of the report
     rel, x0, tol = data.draw(node_relaxations(kind))
     full, checks = checkpoint_bounds(rel, x0, tol)
@@ -436,8 +451,9 @@ def test_every_converged_stop_is_within_tol(kind, data):
 def test_a_zero_step_stops_on_its_exact_residual():
     # alpha = ALPHA_MIN (1 / ||g||_inf is 1e-9) and x - alpha g rounds back to
     # x, so the step is zero while the unit-step residual is 1e-9.  The pass
-    # forms that residual, which stops it 'floor' at tol 1e-12 and
-    # 'converged' at tol 1e-4, as in the reference loop.
+    # forms that residual, which stops it 'converged' at tol 1e-4; at tol
+    # 1e-12 it goes on to the zero step, whose g . d = 0 stops it 'floor', as
+    # in the reference loop.
     red = qc.ReducedQp(free=np.arange(2), M=np.zeros((2, 2)), lin=np.array([-1e9, 1e-9]),
                        const=0.0, lo=0, hi=2)
     x0 = np.array([1.0, 0.5])
@@ -465,7 +481,7 @@ def test_a_negative_iteration_cap_is_rejected_by_both_solvers():
 
 
 @pytest.mark.parametrize("seed, case", _stationarity_cases())
-def test_residual_skip_matches_the_reference_down_to_tol_1e_12(seed, case):
+def test_solver_matches_the_reference_down_to_tol_1e_12(seed, case):
     # the solver is the reference loop, bit for bit, down to tol 1e-12, where
     # residuals end close to tol
     qp, order = stationarity_case_qp(seed, case)
