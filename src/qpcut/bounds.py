@@ -211,7 +211,7 @@ def affine_underestimate(lam, fset: FeasibleSet):
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (fset.dim,):
         raise ValueError("shift dimension does not match the set")
-    if np.any(lam < 0.0):
+    if np.logical_or.reduce(lam < 0.0):
         raise ValueError("shift entries must be nonnegative")
     return -lam, 0.0
 
@@ -259,15 +259,9 @@ def greedy_linear_min(c, lo: int, hi: int) -> np.ndarray:
     hi = min(int(hi), n)
     if lo > hi:
         raise ValueError(f"infeasible budget [{lo}, {hi}] for {n} coordinates")
-    order = np.argsort(c, kind="stable")
     y = np.zeros(n)
-    is_neg = c[order] < 0.0
-    neg = order[is_neg][:hi]
-    y[neg] = 1.0
-    count = neg.size
-    if count < lo:
-        pad = order[~is_neg][: lo - count]
-        y[pad] = 1.0
+    # the negative coefficients lead the stable ascending order (NaN sorts last)
+    y[np.argsort(c, kind="stable")[: min(max(int(np.count_nonzero(c < 0.0)), lo), hi)]] = 1.0
     return y
 
 

@@ -26,7 +26,12 @@ SIAM J. Optim. 17).  A stepped point has nearly always converged, so most
 relaxations stop at their first residual.  The step keeps the iterate
 feasible and, the quadratic being convex, does not raise it, and the
 certificate holds at any feasible point, so bounds stay sound.  The
-nonconvex descent takes no face step.
+nonconvex descent takes no face step.  An equality window (lo == hi, every
+node of an even bisection) starts instead at the minimiser of its full
+face, one product with that face's bordered inverse plus one refinement
+step (_face_minimiser), whenever that point lies strictly inside the box:
+no box bound is active there, so it is the relaxation's minimiser, and
+the first pass takes no face step.
 
 The face systems come from a face table (_full_face) that a solve_convex
 call makes for itself, or that branch and bound passes to every relaxation
@@ -191,22 +196,26 @@ def _face_step(problem, fset, x, g, faces):
     and when it lies in fset to 1e-9, so it is feasible and, H being PSD,
     no worse than x, however exactly d solves its system.
     """
-    inner = (x > 1e-12) & (x < 1.0 - 1e-12)
-    k = int(np.count_nonzero(inner))
-    if k == 0:
+    if x.size == 0:  # the reductions below take no empty array
         return None
+    inner = None  # the full face, found by two reductions with no mask
+    if not (np.minimum.reduce(x) > 1e-12 and np.maximum.reduce(x) < 1.0 - 1e-12):
+        inner = (x > 1e-12) & (x < 1.0 - 1e-12)
+        face = np.flatnonzero(inner)
+        if face.size == 0:
+            return None
     s = float(np.add.reduce(x))
     slack = 1e-9 * max(1.0, x.size)
     on_budget = abs(s - fset.lo) <= slack or abs(s - fset.hi) <= slack
     h, kkt, inv = _full_face(problem, faces, on_budget)
-    if k == x.size:
+    if inner is None:
         gf, xf = g, x
     else:
-        face = np.flatnonzero(inner)
         h, gf, xf = h[np.ix_(face, face)], g[face], x[face]
         kkt, inv = _kkt(h, on_budget), None
+    k = xf.size
     if on_budget:
-        sol = _solve(kkt, inv, np.append(-gf, 0.0))
+        sol = _solve(kkt, inv, np.concatenate((-gf, (0.0,))))
         d = sol[:k] - np.add.reduce(sol[:k]) / k
         gf = gf + sol[k]
     else:
@@ -216,17 +225,53 @@ def _face_step(problem, fset, x, g, faces):
         return None
     # ratio test: the largest t that keeps x + t d in the box (and window)
     ad = np.abs(d)
-    moving = ad > 0.0
-    t = float(np.minimum.reduce(np.where(d > 0.0, 1.0 - xf, xf)[moving] / ad[moving]))
-    sd = float(np.add.reduce(d))
-    if not on_budget and sd != 0.0:
-        t = min(t, ((fset.hi if sd > 0.0 else fset.lo) - s) / sd)
+    room = np.where(d > 0.0, 1.0 - xf, xf)
+    t = float(np.minimum.reduce(np.divide(room, ad, out=np.full(k, np.inf), where=ad > 0.0)))
+    if not on_budget:
+        sd = float(np.add.reduce(d))
+        if sd != 0.0:
+            t = min(t, ((fset.hi if sd > 0.0 else fset.lo) - s) / sd)
     b = float(d @ (h @ d))
     if b > 0.0:
         t = min(t, -a / b)
-    y = x.copy()
-    y[inner] += t * d
+    if inner is None:
+        y = x + t * d
+    else:
+        y = x.copy()
+        y[inner] += t * d
     return y if fset.contains(y, 1e-9) else None
+
+
+def _face_minimiser(problem, fset, faces):
+    """The minimiser of an equality window's relaxation, from its full face; or None.
+
+    With lo == hi, the minimiser of f_L on the full face solves
+    K [x; nu] = [-lin; lo], K the bordered system of the table faces
+    (_full_face), by K^-1 with one refinement step.  It is returned only
+    when every coordinate is strictly inside (0, 1) (margin 1e-12) and it
+    lies in fset to 1e-9: the gradient there is -nu 1 and no box bound is
+    active, so it satisfies the KKT conditions of the convex relaxation.
+    None when lo < hi, n == 0, K is singular, or the point leaves the box.
+    A point already outside the box by more than 1e-4 before the refinement
+    is declined after one product: the refinement moves far less than that
+    on any system K^-1 solves well, and declining is always safe, since the
+    loop then runs from its own start.
+    """
+    n = problem.n
+    if n == 0 or problem.lo != problem.hi:
+        return None
+    _, kkt, inv = _full_face(problem, faces, True)
+    if inv is None:
+        return None
+    rhs = np.concatenate((-problem.lin, (float(problem.lo),)))
+    z = inv @ rhs
+    if not (np.minimum.reduce(z[:n]) > -1e-4 and np.maximum.reduce(z[:n]) < 1.0 + 1e-4):
+        return None
+    x = (z - inv @ (kkt @ z - rhs))[:n]
+    if np.minimum.reduce(x) > 1e-12 and np.maximum.reduce(x) < 1.0 - 1e-12 \
+            and fset.contains(x, 1e-9):
+        return x
+    return None
 
 
 def _full_face(problem, faces, on_budget):
@@ -284,12 +329,15 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, faces=None):
     problem.grad and problem.value, take the gradient and the value.  Each
     step forms one more product problem.matvec(d), which gives the segment
     curvature d^T H d = -2 d . matvec(d) and the Barzilai-Borwein step
-    d^T d / d^T H d.  The first step's alpha is 1 / max |g| at x0, formed
-    only when a pass first steps: most relaxations stop before any step.
+    d^T d / d^T H d.  The first step's alpha is 1 / max |g| at the start,
+    formed only when a pass first steps: most relaxations stop before any
+    step.  The start is x0, which must be feasible, or, given a face table
+    (faces, which solve_convex passes for a relaxation), the point of
+    _face_minimiser when that accepts one.
 
     Every pass works in one order:
-    1. given a face table (faces, which solve_convex passes for a
-       relaxation), the face step of _face_step;
+    1. given a face table, the face step of _face_step, except on the first
+       pass from _face_minimiser's point, which is already the minimiser;
     2. the value f(x), taken once;
     3. the cutoff check, when f(x) is above the cutoff (no certified bound
        exceeds f_L(x)), which stops 'cutoff' when the certified lower bound
@@ -318,6 +366,9 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, faces=None):
     x = np.asarray(x0, dtype=float).copy()
     if not fset.contains(x, tol=1e-9):
         raise ValueError("starting point is infeasible")
+    start = None if faces is None else _face_minimiser(problem, fset, faces)
+    if start is not None:
+        x = start
     mx = problem.matvec(x)
     g = g0 = problem.grad_from(mx)
     alpha = None  # formed from g0 when a pass first steps
@@ -325,7 +376,9 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, faces=None):
     bound = None
     last = math.inf  # f at the last pass that stepped
     for iterations in range(max_iter + 1):
-        if faces is not None:  # the face step: before the first pass and after every step
+        # the face step: before the first pass, unless the loop starts at the
+        # face minimiser, and after every step
+        if faces is not None and (iterations or start is None):
             y = _face_step(problem, fset, x, g, faces)
             if y is not None:
                 x = y

@@ -37,7 +37,8 @@ class FeasibleSet:
     solve on the same subproblem.  What the projection needs besides p and q
     is computed once here, not on every call: the box sums, emptiness, the
     bounds stacked as rows [q, p] (so x - bounds holds the 2n breakpoints of
-    the budget shift) and the matching +1 / -1 free-count steps.
+    the budget shift) and the matching +1 / -1 free-count steps.  contains
+    keeps its shifted bounds per tol, formed on the first call with that tol.
     """
 
     p: np.ndarray
@@ -48,6 +49,7 @@ class FeasibleSet:
     is_empty: bool = field(init=False, repr=False, compare=False)
     bounds: np.ndarray = field(init=False, repr=False, compare=False)
     steps: np.ndarray = field(init=False, repr=False, compare=False)
+    _margins: dict = field(init=False, repr=False, compare=False)  # contains' per-tol bounds
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
@@ -63,7 +65,7 @@ class FeasibleSet:
             arr.setflags(write=False)
         qsum = float(q.sum())
         fields = dict(p=p, q=q, lo=lo, hi=hi, qsum=qsum, bounds=bounds, steps=steps,
-                      is_empty=lo > qsum or hi < float(p.sum()) or lo > hi)
+                      is_empty=lo > qsum or hi < float(p.sum()) or lo > hi, _margins={})
         for name, val in fields.items():
             object.__setattr__(self, name, val)
 
@@ -85,11 +87,16 @@ class FeasibleSet:
         x = np.asarray(x, dtype=float)
         if x.shape != self.p.shape:
             return False
+        # (p - tol, q + tol, budget slack), formed once per tol: the solver
+        # checks a few fixed tols on every node
+        margins = self._margins.get(tol)
+        if margins is None:
+            margins = self._margins[tol] = (self.p - tol, self.q + tol, tol * max(1.0, self.dim))
+        low, high, slack = margins
         # the ufunc reductions skip the .any() / .sum() wrappers (run on every node)
-        if np.logical_or.reduce(x < self.p - tol) or np.logical_or.reduce(x > self.q + tol):
+        if np.logical_or.reduce(x < low) or np.logical_or.reduce(x > high):
             return False
         s = np.add.reduce(x)
-        slack = tol * max(1.0, self.dim)
         return self.lo - slack <= s <= self.hi + slack
 
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import qpcut as qc
 from qpcut.projgrad import (
-    ALPHA_MAX, ALPHA_MIN, DESCENT_MAX_ITER, RESIDUAL_TOL, SOLVE_MAX_ITER, _face_step,
+    ALPHA_MAX, ALPHA_MIN, DESCENT_MAX_ITER, RESIDUAL_TOL, SOLVE_MAX_ITER, _face_minimiser,
+    _face_step,
 )
 
 X_TOL = 1e-7
@@ -194,17 +195,23 @@ def projection_oracle(x, fset):
 
 
 def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.project,
-                      face_step=None, faces=None):
+                      face_step=None, faces=None, face_minimiser=None):
     """qpcut.projgrad._gp_loop written out from problem.value and problem.grad
-    instead of one product per iterate.  A pass takes the face step (when
-    face_step is given: qpcut.projgrad._face_step follows a relaxation's
-    loop, with the face table faces or a new one), then the cutoff test
-    where f(x) is above the cutoff, projects x - g for the exact residual
-    and, unless it stops first, x - alpha g for the step.
+    instead of one product per iterate.  Given face_minimiser
+    (qpcut.projgrad._face_minimiser follows a relaxation's loop), the loop
+    starts at the point it returns, if any, in place of x0.  A pass takes
+    the face step (when face_step is given: qpcut.projgrad._face_step
+    follows a relaxation's loop, with the face table faces or a new one),
+    except on the first pass from such a start, then the cutoff test where
+    f(x) is above the cutoff, projects x - g for the exact residual and,
+    unless it stops first, x - alpha g for the step.
     Returns (report, bound) like that loop; project can count the calls."""
     fset = problem.fset
     faces = {} if faces is None else faces
     x = np.asarray(x0, dtype=float).copy()
+    start = None if face_minimiser is None else face_minimiser(problem, fset, faces)
+    if start is not None:
+        x = start
     g = problem.grad(x)
     gmax = float(np.abs(g).max()) if g.size else 0.0
     alpha = 1.0 if gmax == 0.0 else 1.0 / gmax
@@ -214,7 +221,9 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
     bound = None
     last = math.inf
     for iterations in range(max_iter + 1):
-        y = None if face_step is None else face_step(problem, fset, x, g, faces)
+        y = None
+        if face_step is not None and (iterations > 0 or start is None):
+            y = face_step(problem, fset, x, g, faces)
         if y is not None:
             x = y
             g = problem.grad(x)
@@ -258,10 +267,43 @@ def reference_solve_convex(rel, x0=None, tol=RESIDUAL_TOL, max_iter=SOLVE_MAX_IT
     if x0 is None:
         x0 = qc.project(np.full(rel.n, 0.5), rel.fset)
     report, bound = reference_gp_loop(rel, x0, tol, max_iter, cutoff, face_step=_face_step,
-                                      faces=_faces)
+                                      faces=_faces, face_minimiser=_face_minimiser)
     if bound is None:
         bound = qc.certified_lower_bound(rel, report.x)
     return report, bound
+
+
+def reference_greedy_linear_min(c, lo: int, hi: int) -> np.ndarray:
+    """qpcut.greedy_linear_min as it was written before its one-assignment form."""
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    lo = max(int(lo), 0)
+    hi = min(int(hi), n)
+    if lo > hi:
+        raise ValueError(f"infeasible budget [{lo}, {hi}] for {n} coordinates")
+    order = np.argsort(c, kind="stable")
+    y = np.zeros(n)
+    is_neg = c[order] < 0.0
+    neg = order[is_neg][:hi]
+    y[neg] = 1.0
+    count = neg.size
+    if count < lo:
+        pad = order[~is_neg][: lo - count]
+        y[pad] = 1.0
+    return y
+
+
+def reference_contains(fset, x, tol: float = 1e-9) -> bool:
+    """qpcut.FeasibleSet.contains as it was written before it kept its
+    shifted bounds per tol."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != fset.p.shape:
+        return False
+    if np.logical_or.reduce(x < fset.p - tol) or np.logical_or.reduce(x > fset.q + tol):
+        return False
+    s = np.add.reduce(x)
+    slack = tol * max(1.0, fset.dim)
+    return fset.lo - slack <= s <= fset.hi + slack
 
 
 def reference_descend_nonconvex(problem, x0, tol=RESIDUAL_TOL, max_iter=DESCENT_MAX_ITER):

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpcut as qc
 from qpcut.qp import InfeasibleSubproblemError
-from helpers import cut_instances, path_graph, random_graph
+from helpers import cut_instances, path_graph, random_graph, reference_greedy_linear_min
 
 
 def p3_qp(l=1, u=1):
@@ -288,6 +289,23 @@ def test_greedy_linear_min_matches_enumeration():
         y = qc.greedy_linear_min(c, lo, hi)
         assert lo <= y.sum() <= hi
         assert c @ y == pytest.approx(best, abs=1e-12)
+
+
+@given(c=st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0, np.nan, -np.inf, np.inf])
+                  | st.floats(-5.0, 5.0), max_size=8),
+       lo=st.integers(-3, 11), width=st.integers(-2, 11))
+def test_greedy_linear_min_is_the_reference_bit_for_bit(c, lo, width):
+    # the one-assignment form against the loop it replaced: ties, NaN, signed
+    # zeros and infinities, and windows beyond [0, n] or empty
+    c = np.array(c)
+    try:
+        want = reference_greedy_linear_min(c, lo, lo + width)
+    except ValueError:
+        with pytest.raises(ValueError):
+            qc.greedy_linear_min(c, lo, lo + width)
+        return
+    y = qc.greedy_linear_min(c, lo, lo + width)
+    assert y.dtype == want.dtype and np.array_equal(y, want)
 
 
 def test_certified_lower_bound_soundness_small():

@@ -1,4 +1,5 @@
-"""Property tests for the relaxation's face step (qpcut.projgrad._face_step).
+"""Property tests for the relaxation's face step (qpcut.projgrad._face_step)
+and for the face minimiser an equality window starts at (_face_minimiser).
 
 Each step starts from a feasible point x of a node relaxation.  Its face
 holds the coordinates strictly inside (0, 1) and, when sum(x) sits on a
@@ -13,7 +14,8 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpcut.projgrad import _face_step
+from qpcut.projgrad import _face_minimiser, _face_step
+from qpcut.qp import ReducedQp
 from helpers import node_problems
 
 MARGIN = 1e-12  # the face's distance from the box bounds
@@ -113,3 +115,70 @@ def test_face_step_ends_on_a_face_minimiser_or_on_the_bound_it_hit(kind, data):
                 t = float(dy @ dz) / float(dz @ dz)
                 assert 0.0 < t < 1.0 and np.abs(dy - t * dz).max() <= 1e-6
         x = y
+
+
+def null_space_minimiser(rel):
+    """The minimiser of f_L on the hyperplane sum(x) = lo and the condition
+    number of its reduced Hessian, by a null-space basis of the budget row."""
+    n = rel.n
+    xp = np.full(n, rel.lo / n)
+    if n == 1:  # the hyperplane is one point
+        return xp, 1.0
+    basis = tangent_basis(np.arange(n), True)
+    rh = basis.T @ (2.0 * (np.diag(rel.lam) - rel.M)) @ basis
+    z = xp + basis @ np.linalg.solve(rh, -basis.T @ rel.grad(xp))
+    return z, np.linalg.cond(rh)
+
+
+@pytest.mark.parametrize("kind", ["sdp", "eig"])
+@given(data=st.data())
+def test_an_accepted_face_minimiser_is_an_interior_kkt_point(kind, data):
+    # an accepted start lies in the set, strictly inside the box, on the
+    # budget hyperplane, with a gradient that is constant up to rounding
+    _, rel, _, _ = data.draw(node_problems(kind))
+    x = _face_minimiser(rel, rel.fset, {})
+    if x is None:
+        return
+    n = rel.n
+    assert rel.lo == rel.hi and rel.fset.contains(x, 1e-9)
+    assert x.min() > MARGIN and x.max() < 1.0 - MARGIN
+    assert abs(x.sum() - rel.lo) <= 1e-12 * n
+    g = rel.grad(x)
+    scale = max(1.0, float(np.abs(np.diag(rel.lam) - rel.M).sum(axis=1).max()))
+    assert np.linalg.norm(g - g.mean()) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("kind", ["sdp", "eig"])
+@given(data=st.data())
+def test_face_minimiser_is_the_null_space_minimiser_when_that_is_inside(kind, data):
+    # None for a window lo < hi.  With lo == hi and a well-conditioned
+    # reduced Hessian, the minimiser found here decides: well inside the box
+    # the start is that point, well outside there is none
+    _, rel, _, _ = data.draw(node_problems(kind))
+    x = _face_minimiser(rel, rel.fset, {})
+    if rel.lo < rel.hi or rel.n == 0:
+        assert x is None
+        return
+    z, cond = null_space_minimiser(rel)
+    if cond > 1e8:
+        return
+    room = min(z.min(), 1.0 - z.max())
+    if room > 1e-6:
+        assert x is not None and np.abs(x - z).max() <= 1e-6
+    elif room < -1e-6:
+        assert x is None
+
+
+@pytest.mark.parametrize("delta", [-5e-10, 0.0, 5e-13, 1e-3])
+def test_a_face_minimiser_on_the_box_boundary_is_declined(delta):
+    # f_L = lin . x + x^T x on sum(x) = 1, with lin = -2 z, is least at z =
+    # (delta, (1 - delta) / 2, (1 - delta) / 2).  The start must be strictly
+    # inside the box: fset.contains alone, to 1e-9, would admit delta = -5e-10
+    z = np.array([delta, (1.0 - delta) / 2, (1.0 - delta) / 2])
+    rel = ReducedQp(free=np.arange(3), M=np.zeros((3, 3)), lin=-2.0 * z, const=0.0,
+                    lo=1, hi=1, lam=np.ones(3))
+    x = _face_minimiser(rel, rel.fset, {})
+    if delta > MARGIN:
+        assert np.abs(x - z).max() <= 1e-15
+    else:
+        assert x is None

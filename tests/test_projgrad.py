@@ -378,15 +378,15 @@ def assert_matches_reference(red, rel, x0, tol, max_iter):
     """solve_convex (with and without cutoffs) and descend_nonconvex against
     reference_gp_loop: the same reports and bounds, bit for bit, from the
     same number of projections."""
-    plain, _ = reference_gp_loop(rel, x0, tol, max_iter, face_step=projgrad._face_step)
+    faced = dict(face_step=projgrad._face_step, face_minimiser=projgrad._face_minimiser)
+    plain, _ = reference_gp_loop(rel, x0, tol, max_iter, **faced)
     start = qc.certified_lower_bound(rel, x0)
     end = qc.certified_lower_bound(rel, plain.x)
     # no cutoff, and cutoffs just below the start's and the plain end's bounds
     for cutoff in (None, start - 1e-9 * (1.0 + abs(start)), end - 1e-9 * (1.0 + abs(end))):
         with counted_projections() as ref_calls:
             ref, ref_bound = reference_gp_loop(
-                rel, x0, tol, max_iter, cutoff, project=projgrad.project,
-                face_step=projgrad._face_step,
+                rel, x0, tol, max_iter, cutoff, project=projgrad.project, **faced,
             )
         if ref_bound is None:
             ref_bound = qc.certified_lower_bound(rel, ref.x)

@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qpcut as qc
 from qpcut.qp import InfeasibleSubproblemError
-from helpers import path_graph, complete_graph, random_graph, fd_gradient
+from helpers import path_graph, complete_graph, random_graph, fd_gradient, reference_contains
 
 
 def test_make_qp_examples():
@@ -212,6 +214,23 @@ def test_feasible_set_shape():
     assert fs.contains(np.array([1.0, 0.0, 0.5]))
     assert not fs.contains(np.array([1.0, 1.0, 1.0]))
     assert not fs.is_empty
+
+
+@given(data=st.data(), n=st.integers(0, 5), lo=st.integers(-2, 7), hi=st.integers(-2, 7))
+def test_contains_is_the_reference_bit_for_bit(data, n, lo, hi):
+    # every tol, in a drawn order, against one cached unit box, whose per-tol
+    # bounds persist across calls and examples: points near the bounds, NaN
+    # entries and shape mismatches, answered as the reference does
+    box = qc.FeasibleSet.unit_box(n, lo, hi)
+    near = st.sampled_from([0.0, 1.0, -1e-9, 1.0 + 1e-9, -2e-9, 1.0 + 2e-9, 0.5, np.nan])
+    tols = data.draw(st.permutations([1e-9, 1e-7, 0.0, 1e-12, 0.25]))
+    for _ in range(3):
+        shape = data.draw(st.sampled_from([(n,), (n,), (n + 1,), (1, n)]))
+        size = int(np.prod(shape))
+        x = np.array(data.draw(st.lists(near | st.floats(-0.5, 1.5), min_size=size,
+                                        max_size=size))).reshape(shape)
+        for tol in tols:
+            assert box.contains(x, tol) == reference_contains(box, x, tol), (x, tol)
 
 
 def test_unit_boxes_of_one_size_share_their_arrays():
