@@ -36,16 +36,17 @@ weight exactly.  Only a relaxed node can be expanded, and it leaves both
 children feasible, so the search never makes an infeasible subproblem.  The
 full-length incumbent is assembled once, at exit.
 
-Relaxations and descents stop by the defaults of qpcut.projgrad.  The
-fixed order makes a node's free count n determine its free vertices (the
-last n of the order), hence its block of M and its slice of lam, within one
-solve, so all relaxations of a solve share one face table: each depth's
-full-face Newton system is built and inverted once (projgrad._full_face).
-all_relaxations_converged is true when every relaxation's SolveReport.stop
-is 'converged' or 'cutoff', and false when one stopped at its iteration cap
-or at the rounding floor first.  At exit, lower_bound is the value when
-optimal and otherwise the smallest bound still open, which best-first order
-makes a bound on the optimum.
+Relaxations and descents stop by the defaults of qpcut.projgrad.  A child's
+relaxation takes its parent's point, less the fixed coordinate, as its start
+hint (solve_convex).  The fixed order makes a node's free count n determine
+its free vertices (the last n of the order), hence its block of M and its
+slice of lam, within one solve, so all relaxations of a solve share one face
+table: each depth's full-face Newton system is built and inverted once
+(projgrad._full_face).  all_relaxations_converged is true when every
+relaxation's SolveReport.stop is 'converged' or 'cutoff', and false when one
+stopped at its iteration cap or at the rounding floor first.  At exit,
+lower_bound is the value when optimal and otherwise the smallest bound still
+open, which best-first order makes a bound on the optimum.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ import numpy as np
 
 from .bounds import DcShift, build_relaxation, sdp_shift, sigma_shift
 from .graph import PartitionSpec, WeightedGraph
-# unused here; perfbench/tracing.py traces these two names in this module
+# unused here; perfbench/tracing.py traces these three names in this module
 from .optimality import check_local_min, descent_direction  # noqa: F401
-from .projgrad import descend_nonconvex, project, solve_convex
+from .projgrad import project  # noqa: F401
+from .projgrad import descend_nonconvex, solve_convex
 from .qp import ReducedQp, make_qp, reduce
 from .rounding import partition_from_binary, round_to_binary
 
@@ -184,8 +186,8 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
     # heap entries: (bound, -depth, node_count, label, red, relax_x); node_count breaks ties FIFO
     heap = []
     status = "optimal"
-    # (label, subproblem, parent bound, start point); the root starts at the center
-    batch = [((), root, -math.inf, np.full(qp.n, 0.5))]
+    # (label, subproblem, parent bound, start hint); the root has no hint
+    batch = [((), root, -math.inf, None)]
 
     while True:
         for label, red, parent_bound, x_start in batch:
@@ -196,9 +198,8 @@ def solve(graph: WeightedGraph, spec: PartitionSpec, config: BnbConfig | None = 
                 y = np.full(red.n, bit)
                 bound = val = red.value(y)
             else:
-                x0 = project(x_start, red.fset)
-                report, cert = solve_convex(build_relaxation(red, shift), x0, cutoff=cutoff,
-                                            _faces=faces)
+                report, cert = solve_convex(build_relaxation(red, shift), x_start,
+                                            cutoff=cutoff, _faces=faces)
                 x, bound = report.x, max(cert, parent_bound)
                 all_converged = all_converged and report.stop in ("converged", "cutoff")
                 val = math.inf  # no candidate unless the depth is 0 or a power of two

@@ -6,43 +6,34 @@ the unit box and budget window:
 x_{k+1} = x_k + t* (P(x_k - alpha_k g_k) - x_k), where alpha_k is a
 safeguarded Barzilai-Borwein steplength and t* minimizes the quadratic
 exactly on the segment (t* = 1 when the segment quadratic is concave).
-Each pass forms the unit-step projected-gradient residual ||P(x - g) - x||
-and stops when it is within tol, or at the iteration cap; only a pass that
-goes on projects x - alpha g for its step.  The defaults below are the ones
-branch and bound uses.  Each iterate costs one product M x, from which the
-exact gradient, the value and, where needed, the certified bound are taken.
-A relaxation solve given a cutoff also stops as soon as its certified lower
-bound, checked on every pass before its residual, is above the cutoff:
+_gp_loop lists the checks each pass makes, in order.  A relaxation solve
+given a cutoff stops as soon as its certified lower bound is above it:
 branch and bound then prunes the node, and more iterations could not change
-that.  An iterate that passes the check and has also converged therefore
-reports 'cutoff', with the bound a converged stop there would return.
+that.  The defaults below are the ones branch and bound uses.
 
 On a relaxation (convex, lam set) every pass starts with a face step, so
 before the first pass and after every gradient projection step: gradient
 projection finds the active face, and one Newton step minimizes the
-quadratic on it, or goes as far towards that minimizer as the box and
-window allow (More & Toraldo 1991, SIAM J. Optim. 1; Hager & Zhang 2006,
-SIAM J. Optim. 17).  A stepped point has nearly always converged, so most
+quadratic on it, or goes as far towards that minimizer as the box and window
+allow (More & Toraldo 1991, SIAM J. Optim. 1; Hager & Zhang 2006, SIAM J.
+Optim. 17).  A stepped point has nearly always converged, so most
 relaxations stop at their first residual.  The step keeps the iterate
 feasible and, the quadratic being convex, does not raise it, and the
 certificate holds at any feasible point, so bounds stay sound.  The
-nonconvex descent takes no face step.  An equality window (lo == hi, every
-node of an even bisection) starts instead at the minimiser of its full
-face, one product with that face's bordered inverse plus one refinement
-step (_face_minimiser), whenever that point lies strictly inside the box:
-no box bound is active there, so it is the relaxation's minimiser, and
-the first pass takes no face step.
+nonconvex descent takes no face step.  Each solver chooses its start, and
+_gp_loop only iterates from it.  solve_convex starts an equality window
+(lo == hi, every node of an even bisection) at the minimiser of its full
+face, one product with that face's bordered inverse plus one refinement step
+(_face_minimiser), whenever that point lies strictly inside the box: no box
+bound is active there, so it is the relaxation's minimiser, and the first
+pass takes no face step.  Any other relaxation starts at its projected hint.
 
-The face systems come from a face table (_full_face) that a solve_convex
-call makes for itself, or that branch and bound passes to every relaxation
-of one solve, where all nodes of a depth share one Hessian block.  For each
-size n and budget flag the table holds the full face's system and its
-inverse, built on first use, so in branch and bound each depth's full face
-is factored once per solve.  A full face, nearly every face on small dense
-graphs, is then solved by z = K^-1 r and one refinement step
-z -= K^-1 (K z - r); without that step an explicit inverse loses enough
-accuracy that relaxations far below the default tol take more iterations.
-A partial face gathers its block from the table's H and is solved by LU.
+The face systems come from a face table (_full_face), which a solve_convex
+call makes for itself or branch and bound shares across one solve's
+relaxations, so each depth's full face is factored once per solve.  A full
+face, nearly every face on small dense graphs, is solved by its inverse and
+one refinement step (_solve), without which relaxations far below the
+default tol take more iterations; a partial face is solved by LU.
 """
 
 from __future__ import annotations
@@ -88,23 +79,24 @@ class SolveReport:
 def project(x, fset: FeasibleSet) -> np.ndarray:
     """Euclidean projection onto {p <= y <= q, lo <= sum(y) <= hi}.
 
-    x must have shape (fset.dim,); any other shape raises ValueError.  Three
-    cases: the box clip alone, when its sum lies in the window; otherwise
-    the shift by the scalar theta solving sum(clip(x - theta)) = bound at
-    the violated bound, which _clip_to_budget finds by one shift of every
-    coordinate when that meets the bound, and by breakpoint search when it
-    does not.  The result is feasible, idempotent, and the true projection.
+    x must have shape (fset.dim,) and no NaN, nor an infinite entry where
+    the budget shift is needed; any other x raises ValueError.  Three cases:
+    the box clip alone, when its sum lies in the window; otherwise the shift
+    by the scalar theta solving sum(clip(x - theta)) = bound at the violated
+    bound, which _clip_to_budget finds by one shift of every coordinate when
+    that meets the bound, and by breakpoint search when it does not.  The
+    result is feasible, idempotent, and the true projection.
     """
     if fset.is_empty:
         raise ValueError("empty feasible set")
     x = _check_dim(x, fset.dim)
     y = np.minimum(np.maximum(x, fset.p), fset.q)
     s = np.add.reduce(y)
-    if s > fset.hi:
-        return _clip_to_budget(x, fset, fset.hi)
-    if s < fset.lo:
-        return _clip_to_budget(x, fset, fset.lo)
-    return y
+    if fset.lo <= s <= fset.hi:
+        return y
+    if s != s:  # s is NaN only when x holds one, which the clip keeps
+        raise ValueError("cannot project a point with a NaN entry")
+    return _clip_to_budget(x, fset, fset.hi if s > fset.hi else fset.lo)
 
 
 def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
@@ -123,7 +115,10 @@ def _clip_to_budget(x, fset: FeasibleSet, target: float) -> np.ndarray:
     """
     p, q = fset.p, fset.q
     tol = 1e-12 * max(1.0, abs(target))
-    y = np.minimum(np.maximum(x - (np.add.reduce(x) - target) / x.size, p), q)
+    total = np.add.reduce(x)  # not finite for an infinite entry (or by overflow)
+    if not math.isfinite(total) and not np.isfinite(x).all():
+        raise ValueError("cannot shift a point with an infinite entry onto the window")
+    y = np.minimum(np.maximum(x - (total - target) / x.size, p), q)
     if abs(float(np.add.reduce(y)) - target) <= tol:
         return y
 
@@ -254,8 +249,8 @@ def _face_minimiser(problem, fset, faces):
     None when lo < hi, n == 0, K is singular, or the point leaves the box.
     A point already outside the box by more than 1e-4 before the refinement
     is declined after one product: the refinement moves far less than that
-    on any system K^-1 solves well, and declining is always safe, since the
-    loop then runs from its own start.
+    on any system K^-1 solves well, and declining is always safe, since
+    solve_convex then starts from the projected hint.
     """
     n = problem.n
     if n == 0 or problem.lo != problem.hi:
@@ -320,8 +315,8 @@ def _solve(a, inv, rhs):
         return np.linalg.lstsq(a, rhs, rcond=None)[0]
 
 
-def _gp_loop(problem, x0, tol, max_iter, cutoff=None, faces=None):
-    """Gradient projection on a quadratic problem from x0; returns (report, bound).
+def _gp_loop(problem, x, tol, max_iter, cutoff=None, faces=None, stepped=False):
+    """Gradient projection on a quadratic problem from x; returns (report, bound).
 
     The Hessian of const + lin . x - x^T (M - Diag(lam)) x is -2 times
     problem.matvec.  Each iterate costs one product mx = problem.matvec(x),
@@ -331,13 +326,12 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, faces=None):
     curvature d^T H d = -2 d . matvec(d) and the Barzilai-Borwein step
     d^T d / d^T H d.  The first step's alpha is 1 / max |g| at the start,
     formed only when a pass first steps: most relaxations stop before any
-    step.  The start is x0, which must be feasible, or, given a face table
-    (faces, which solve_convex passes for a relaxation), the point of
-    _face_minimiser when that accepts one.
+    step.  The caller chooses and checks the feasible start x, which
+    report.x may be; stepped marks it as the point of _face_minimiser.
 
     Every pass works in one order:
     1. given a face table, the face step of _face_step, except on the first
-       pass from _face_minimiser's point, which is already the minimiser;
+       pass of a stepped start;
     2. the value f(x), taken once;
     3. the cutoff check, when f(x) is above the cutoff (no certified bound
        exceeds f_L(x)), which stops 'cutoff' when the certified lower bound
@@ -363,12 +357,6 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, faces=None):
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     fset = problem.fset
-    x = np.asarray(x0, dtype=float).copy()
-    if not fset.contains(x, tol=1e-9):
-        raise ValueError("starting point is infeasible")
-    start = None if faces is None else _face_minimiser(problem, fset, faces)
-    if start is not None:
-        x = start
     mx = problem.matvec(x)
     g = g0 = problem.grad_from(mx)
     alpha = None  # formed from g0 when a pass first steps
@@ -376,9 +364,8 @@ def _gp_loop(problem, x0, tol, max_iter, cutoff=None, faces=None):
     bound = None
     last = math.inf  # f at the last pass that stepped
     for iterations in range(max_iter + 1):
-        # the face step: before the first pass, unless the loop starts at the
-        # face minimiser, and after every step
-        if faces is not None and (iterations or start is None):
+        # the face step, on every pass but a stepped start's first
+        if faces is not None and (iterations or not stepped):
             y = _face_step(problem, fset, x, g, faces)
             if y is not None:
                 x = y
@@ -428,24 +415,32 @@ def solve_convex(rel: ReducedQp, x0=None, tol: float = RESIDUAL_TOL,
                  _faces: dict | None = None):
     """Minimize the convex relaxation; returns (report, certified lower bound).
 
+    x0 is a hint: the solve starts at _face_minimiser's point when that
+    accepts one, else at x0 projected, or the box centre when x0 is None.  A
+    hint of the wrong shape or not finite raises ValueError, used or not.
     The objective is monotone nonincreasing across accepted steps, face
     steps included: each is feasible and, on this convex quadratic, moves
     along a descent direction no further than the exact line search allows.
     The returned bound is certified at the final iterate, which need only be
-    feasible, so it stays sound even when the iteration cap is hit.  Given
-    a cutoff, the solve may stop early with report.stop == 'cutoff'; the
-    bound returned is then the one that passed the cutoff, checked on every
-    pass.  The checks never alter the iterates, so a solve that no check
-    stops returns what cutoff=None does.  A subproblem (lam None), which has
-    no certified bound, raises ValueError before any iteration.  _faces is
-    the face table of _full_face, which branch and bound shares across the
-    relaxations of one solve; without it the solve makes its own.
+    feasible, so it stays sound even when the iteration cap is hit.  Given a
+    cutoff, the solve stops 'cutoff' at the first pass whose certified bound
+    is above it, and returns that bound; the checks never alter the
+    iterates, so a solve that no check stops returns what cutoff=None does.
+    A subproblem (lam None), which has no certified bound, raises ValueError
+    before any iteration.  _faces is the face table of _full_face, which
+    branch and bound shares across the relaxations of one solve; without it
+    the solve makes its own.
     """
     if rel.lam is None:
         raise ValueError("solve_convex takes a relaxation, not a subproblem")
-    if x0 is None:
-        x0 = project(np.full(rel.n, 0.5), rel.fset)
-    return _gp_loop(rel, x0, tol, max_iter, cutoff, {} if _faces is None else _faces)
+    x0 = np.full(rel.n, 0.5) if x0 is None else _check_dim(x0, rel.n)
+    if not math.isfinite(np.add.reduce(x0)) and not np.isfinite(x0).all():
+        raise ValueError("starting point has a non-finite entry")
+    faces = {} if _faces is None else _faces
+    x = _face_minimiser(rel, rel.fset, faces)
+    if x is None:
+        return _gp_loop(rel, project(x0, rel.fset), tol, max_iter, cutoff, faces)
+    return _gp_loop(rel, x, tol, max_iter, cutoff, faces, stepped=True)
 
 
 def descend_nonconvex(problem, x0, tol: float = RESIDUAL_TOL,
@@ -454,7 +449,11 @@ def descend_nonconvex(problem, x0, tol: float = RESIDUAL_TOL,
 
     The segment quadratic can be concave here; the step then goes to the
     far endpoint, t = 1, which along a descent direction is the better one,
-    so the objective never increases.  Terminates at the stationarity
-    residual, the iteration cap or the rounding floor.
+    so the objective never increases.  Starts at x0, which must lie in
+    problem.fset (to 1e-9), and terminates at the stationarity residual, the
+    iteration cap or the rounding floor.
     """
-    return _gp_loop(problem, x0, tol, max_iter)[0]
+    x = np.array(x0, dtype=float)  # a copy, which the report may return
+    if not problem.fset.contains(x, tol=1e-9):
+        raise ValueError("starting point is infeasible")
+    return _gp_loop(problem, x, tol, max_iter)[0]

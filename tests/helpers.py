@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
 import qpcut as qc
+from qpcut import projgrad
 from qpcut.projgrad import (
     ALPHA_MAX, ALPHA_MIN, DESCENT_MAX_ITER, RESIDUAL_TOL, SOLVE_MAX_ITER, _face_minimiser,
     _face_step,
@@ -93,10 +95,11 @@ def cut_instances(draw, max_n=10):
 
 
 @st.composite
-def node_problems(draw, kind):
-    """(red, rel, x0, tol): a feasible node of a random instance in branching
-    order, its relaxation under the given shift kind, and a feasible start."""
-    g, spec = draw(cut_instances())
+def node_problems(draw, kind, instances=cut_instances()):
+    """(red, rel, x0, tol): a feasible node of a random instance (drawn from
+    instances) in branching order, its relaxation under the given shift
+    kind, and a feasible start."""
+    g, spec = draw(instances)
     qp = qc.make_qp(g, spec)
     order = qc.order_vertices(g)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -195,23 +198,18 @@ def projection_oracle(x, fset):
 
 
 def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.project,
-                      face_step=None, faces=None, face_minimiser=None):
+                      face_step=None, faces=None, stepped=False):
     """qpcut.projgrad._gp_loop written out from problem.value and problem.grad
-    instead of one product per iterate.  Given face_minimiser
-    (qpcut.projgrad._face_minimiser follows a relaxation's loop), the loop
-    starts at the point it returns, if any, in place of x0.  A pass takes
-    the face step (when face_step is given: qpcut.projgrad._face_step
+    instead of one product per iterate, from the feasible start x0.  A pass
+    takes the face step (when face_step is given: qpcut.projgrad._face_step
     follows a relaxation's loop, with the face table faces or a new one),
-    except on the first pass from such a start, then the cutoff test where
-    f(x) is above the cutoff, projects x - g for the exact residual and,
-    unless it stops first, x - alpha g for the step.
+    except on the first pass when stepped (x0 is then the face minimiser),
+    then the cutoff test where f(x) is above the cutoff, projects x - g for
+    the exact residual and, unless it stops first, x - alpha g for the step.
     Returns (report, bound) like that loop; project can count the calls."""
     fset = problem.fset
     faces = {} if faces is None else faces
     x = np.asarray(x0, dtype=float).copy()
-    start = None if face_minimiser is None else face_minimiser(problem, fset, faces)
-    if start is not None:
-        x = start
     g = problem.grad(x)
     gmax = float(np.abs(g).max()) if g.size else 0.0
     alpha = 1.0 if gmax == 0.0 else 1.0 / gmax
@@ -222,7 +220,7 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
     last = math.inf
     for iterations in range(max_iter + 1):
         y = None
-        if face_step is not None and (iterations > 0 or start is None):
+        if face_step is not None and (iterations > 0 or not stepped):
             y = face_step(problem, fset, x, g, faces)
         if y is not None:
             x = y
@@ -261,16 +259,39 @@ def reference_gp_loop(problem, x0, tol, max_iter, cutoff=None, project=qc.projec
 
 
 def reference_solve_convex(rel, x0=None, tol=RESIDUAL_TOL, max_iter=SOLVE_MAX_ITER,
-                           cutoff=None, *, _faces=None):
+                           cutoff=None, *, _faces=None, project=qc.project):
     """qpcut.solve_convex on reference_gp_loop, with the final bound from
-    qpcut.certified_lower_bound; _faces is forwarded as its face table."""
-    if x0 is None:
-        x0 = qc.project(np.full(rel.n, 0.5), rel.fset)
-    report, bound = reference_gp_loop(rel, x0, tol, max_iter, cutoff, face_step=_face_step,
-                                      faces=_faces, face_minimiser=_face_minimiser)
+    qpcut.certified_lower_bound; _faces is forwarded as its face table.  The
+    loop starts at the point of _face_minimiser when that accepts one, and
+    otherwise at the projection of x0, or of the box centre when x0 is None;
+    project can count the calls."""
+    faces = {} if _faces is None else _faces
+    x = _face_minimiser(rel, rel.fset, faces)
+    stepped = x is not None
+    if not stepped:
+        x = project(np.full(rel.n, 0.5) if x0 is None else x0, rel.fset)
+    report, bound = reference_gp_loop(rel, x, tol, max_iter, cutoff, project,
+                                      face_step=_face_step, faces=faces, stepped=stepped)
     if bound is None:
         bound = qc.certified_lower_bound(rel, report.x)
     return report, bound
+
+
+@contextlib.contextmanager
+def counted_projections():
+    """Count the calls to projgrad.project inside the block (the reference
+    solvers count when they are given projgrad.project there)."""
+    calls = [0]
+
+    def counting(x, fset):
+        calls[0] += 1
+        return qc.project(x, fset)
+
+    projgrad.project = counting
+    try:
+        yield calls
+    finally:
+        projgrad.project = qc.project
 
 
 def reference_greedy_linear_min(c, lo: int, hi: int) -> np.ndarray:

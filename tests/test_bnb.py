@@ -208,6 +208,22 @@ def test_solve_path_classifies_no_local_minima(monkeypatch, bound, lo, hi):
     assert sol.value == pytest.approx(opt)
 
 
+@pytest.mark.parametrize("lo, hi", [(4, 4), (2, 5)], ids=["bisect", "window"])
+def test_the_search_leaves_each_start_to_solve_convex(monkeypatch, lo, hi):
+    # solve passes each relaxation its hint unprojected: solve_convex projects
+    # it only when the face minimiser declines, so qpcut.bnb never projects
+    def forbidden(*args, **kwargs):
+        raise AssertionError("qpcut.bnb projected a start")
+
+    monkeypatch.setattr("qpcut.bnb.project", forbidden)
+    g = random_graph(8, 0.6, 3, low=1, high=9)
+    spec = qc.PartitionSpec(lo, hi)
+    opt, _ = qc.brute_force(g, spec)
+    sol = qc.solve(g, spec)
+    assert sol.status == "optimal"
+    assert sol.value == pytest.approx(opt)
+
+
 @pytest.mark.parametrize("bound", ["sdp", "eig"])
 @pytest.mark.parametrize("lo, hi", [(5, 5), (3, 7), (4, 4), (2, 5)],
                          ids=["bisect", "mirror-window", "equality", "window"])

@@ -1,5 +1,6 @@
 """Property tests for the relaxation's face step (qpcut.projgrad._face_step)
-and for the face minimiser an equality window starts at (_face_minimiser).
+and for the face minimiser an equality window starts at (_face_minimiser),
+whatever start hint solve_convex is given.
 
 Each step starts from a feasible point x of a node relaxation.  Its face
 holds the coordinates strictly inside (0, 1) and, when sum(x) sits on a
@@ -14,9 +15,10 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qpcut as qc
 from qpcut.projgrad import _face_minimiser, _face_step
 from qpcut.qp import ReducedQp
-from helpers import node_problems
+from helpers import counted_projections, node_problems
 
 MARGIN = 1e-12  # the face's distance from the box bounds
 
@@ -167,6 +169,40 @@ def test_face_minimiser_is_the_null_space_minimiser_when_that_is_inside(kind, da
         assert x is not None and np.abs(x - z).max() <= 1e-6
     elif room < -1e-6:
         assert x is None
+
+
+@st.composite
+def equality_cuts(draw, max_n=10):
+    """(graph, spec) with positive integral weights and a window lo == hi, whose
+    node relaxations mostly take their face minimiser (about 60%)."""
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.integers(1, 10, (n, n)) * (rng.random((n, n)) < draw(st.sampled_from([0.6, 1.0])))
+    w = np.triu(w, 1).astype(float)
+    lo = draw(st.integers(1, n - 1))
+    return qc.WeightedGraph(w + w.T), qc.PartitionSpec(lo, lo)
+
+
+@given(data=st.data())
+def test_an_accepted_face_minimiser_makes_the_hint_unused(data):
+    # where the face minimiser is taken, solve_convex never projects its hint:
+    # none, a feasible one and an infeasible finite one give the same report
+    # and bound, each from the one projection that forms the residual of the
+    # first pass, which has converged at the minimiser
+    kind = data.draw(st.sampled_from(["sdp", "eig"]))
+    _, rel, x0, tol = data.draw(node_problems(kind, equality_cuts()))
+    if _face_minimiser(rel, rel.fset, {}) is None:
+        return
+    shift = data.draw(st.sampled_from([-1.0, 2.0]))
+    solves = []
+    for hint in (None, x0, x0 + shift):
+        with counted_projections() as calls:
+            report, bound = qc.solve_convex(rel, hint, tol=tol)
+        assert calls[0] == 1
+        solves.append((report.x.tolist(), report.iterations, report.stop, bound))
+    assert not rel.fset.contains(x0 + shift)
+    assert solves[0] == solves[1] == solves[2]
+    assert solves[0][1:3] == (0, "converged")
 
 
 @pytest.mark.parametrize("delta", [-5e-10, 0.0, 5e-13, 1e-3])

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 
 import numpy as np
@@ -10,7 +9,8 @@ import qpcut as qc
 from qpcut import projgrad
 from qpcut.qp import FeasibleSet
 from helpers import (
-    node_problems, path_graph, projection_oracle, random_graph, reference_gp_loop,
+    counted_projections, node_problems, path_graph, projection_oracle, random_graph,
+    reference_gp_loop, reference_solve_convex,
 )
 
 
@@ -40,6 +40,26 @@ def test_project_rejects_empty_set():
 def test_project_rejects_a_point_of_the_wrong_shape(x, lo, hi):
     with pytest.raises(ValueError, match="expected a vector of length 2"):
         qc.project(x, unit_set(2, lo, hi))
+
+
+@pytest.mark.parametrize("x, lo, hi, match", [
+    ((np.nan, 0.2, 0.3), 1, 1, "NaN"),  # a NaN clip sum, in no window
+    ((np.nan, 0.2, 0.3), 0, 3, "NaN"),
+    ((np.inf, 0.2, 0.3), 1, 1, "infinite"),  # the clip sum 1.5 takes the budget shift
+    ((0.2, -np.inf, 0.3), 1, 1, "infinite"),  # and so does 0.5
+])
+def test_project_rejects_a_point_with_no_nearest_point_in_the_set(x, lo, hi, match):
+    with pytest.raises(ValueError, match=match):
+        qc.project(np.array(x), unit_set(3, lo, hi))
+
+
+def test_project_rejects_opposite_infinities_that_take_the_budget_shift():
+    # inf - inf in the shift's sum of x: numpy warns of it, then project raises
+    x = np.array([np.inf, -np.inf, 0.3])
+    with pytest.raises(ValueError, match="infinite"), pytest.warns(RuntimeWarning):
+        qc.project(x, unit_set(3, 1, 1))
+    # where the box clip alone lands in the window, it is the projection
+    assert np.array_equal(qc.project(x, unit_set(3, 0, 3)), [1.0, 0.0, 0.3])
 
 
 def test_project_idempotent_nonexpansive_feasible():
@@ -116,11 +136,42 @@ def test_solve_convex_monotone_and_stopping():
         assert bound <= rel.value(report.x) + 1e-9
 
 
-def test_solve_convex_rejects_infeasible_start():
-    qp = qc.make_qp(path_graph(3), qc.PartitionSpec(1, 1))
-    rel = relaxation(qp)
-    with pytest.raises(ValueError):
-        qc.solve_convex(rel, x0=np.ones(3))
+def test_solve_convex_projects_an_infeasible_hint(monkeypatch):
+    # x0 is a hint: where the face minimiser declines (here a window lo < hi)
+    # the loop starts at its projection.  A hint of the wrong shape or with a
+    # non-finite entry raises, also on an equality window whose face
+    # minimiser is taken (that of
+    # test_a_face_minimiser_on_the_box_boundary_is_declined).
+    window = relaxation(qc.make_qp(path_graph(3), qc.PartitionSpec(1, 2)))
+    z = np.array([0.2, 0.4, 0.4])
+    equality = qc.ReducedQp(free=np.arange(3), M=np.zeros((3, 3)), lin=-2.0 * z, const=0.0,
+                            lo=1, hi=1, lam=np.ones(3))
+    assert projgrad._face_minimiser(window, window.fset, {}) is None
+    assert projgrad._face_minimiser(equality, equality.fset, {}) is not None
+    hint = np.ones(3)
+    assert not window.fset.contains(hint)
+    starts = []
+    loop = projgrad._gp_loop
+
+    def recording(rel, x, *args, **kwargs):
+        starts.append(x)
+        return loop(rel, x, *args, **kwargs)
+
+    monkeypatch.setattr(projgrad, "_gp_loop", recording)
+    report, _ = qc.solve_convex(window, hint)
+    assert np.array_equal(starts, [qc.project(hint, window.fset)])
+    assert report.converged
+    for rel in (window, equality):
+        for bad in (np.ones(2), np.array([np.nan, 0.5, 0.5]), np.array([np.inf, 0.0, 0.0])):
+            with pytest.raises(ValueError):
+                qc.solve_convex(rel, bad)
+
+
+def test_descend_nonconvex_rejects_an_infeasible_start():
+    red = qc.reduce(qc.make_qp(path_graph(3), qc.PartitionSpec(1, 1)), ())
+    for x0 in (np.ones(3), np.ones(2), np.array([np.nan, 1.0, 0.0])):
+        with pytest.raises(ValueError, match="starting point is infeasible"):
+            qc.descend_nonconvex(red, x0)
 
 
 def test_descend_nonconvex_monotone_from_relaxation_point():
@@ -357,39 +408,18 @@ def test_cutoff_that_never_passes_leaves_the_solve_unchanged(kind, data):
         assert bound == plain_bound
 
 
-@contextlib.contextmanager
-def counted_projections():
-    """Count the calls to projgrad.project inside the block (the reference
-    loop counts when it is given projgrad.project there)."""
-    calls = [0]
-
-    def counting(x, fset):
-        calls[0] += 1
-        return qc.project(x, fset)
-
-    projgrad.project = counting
-    try:
-        yield calls
-    finally:
-        projgrad.project = qc.project
-
-
 def assert_matches_reference(red, rel, x0, tol, max_iter):
     """solve_convex (with and without cutoffs) and descend_nonconvex against
-    reference_gp_loop: the same reports and bounds, bit for bit, from the
-    same number of projections."""
-    faced = dict(face_step=projgrad._face_step, face_minimiser=projgrad._face_minimiser)
-    plain, _ = reference_gp_loop(rel, x0, tol, max_iter, **faced)
+    the reference solvers: the same reports and bounds, bit for bit, from the
+    same number of projections, the start's included."""
+    plain, _ = reference_solve_convex(rel, x0, tol, max_iter)
     start = qc.certified_lower_bound(rel, x0)
     end = qc.certified_lower_bound(rel, plain.x)
-    # no cutoff, and cutoffs just below the start's and the plain end's bounds
+    # no cutoff, and cutoffs just below the hint's and the plain end's bounds
     for cutoff in (None, start - 1e-9 * (1.0 + abs(start)), end - 1e-9 * (1.0 + abs(end))):
         with counted_projections() as ref_calls:
-            ref, ref_bound = reference_gp_loop(
-                rel, x0, tol, max_iter, cutoff, project=projgrad.project, **faced,
-            )
-        if ref_bound is None:
-            ref_bound = qc.certified_lower_bound(rel, ref.x)
+            ref, ref_bound = reference_solve_convex(rel, x0, tol, max_iter, cutoff,
+                                                    project=projgrad.project)
         with counted_projections() as calls:
             report, bound = qc.solve_convex(rel, x0, tol=tol, max_iter=max_iter, cutoff=cutoff)
         assert_same_report(report, ref)
@@ -407,6 +437,8 @@ def assert_matches_reference(red, rel, x0, tol, max_iter):
 def test_a_face_stepped_start_that_has_converged_projects_once():
     # every pass tests the residual before its step projection, so a
     # relaxation whose face-stepped start has converged costs one projection
+    # in the loop, after the one that forms its start from the hint x0 (none
+    # when the start is the face minimiser)
     checked = 0
     for seed in range(3):
         qp = seeded_qp(seed)
@@ -419,7 +451,8 @@ def test_a_face_stepped_start_that_has_converged_projects_once():
                 with counted_projections() as calls:
                     report, _ = qc.solve_convex(rel, x0)
                 if (report.stop, report.iterations) == ("converged", 0):
-                    assert calls[0] == 1
+                    declined = projgrad._face_minimiser(rel, rel.fset, {}) is None
+                    assert calls[0] == 1 + declined
                     checked += 1
     assert checked >= 10
 
