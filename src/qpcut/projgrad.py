@@ -21,12 +21,14 @@ relaxations stop at their first residual.  The step keeps the iterate
 feasible and, the quadratic being convex, does not raise it, and the
 certificate holds at any feasible point, so bounds stay sound.  The
 nonconvex descent takes no face step.  Each solver chooses its start, and
-_gp_loop only iterates from it.  solve_convex starts an equality window
-(lo == hi, every node of an even bisection) at the minimiser of its full
-face, one product with that face's bordered inverse plus one refinement step
-(_face_minimiser), whenever that point lies strictly inside the box: no box
-bound is active there, so it is the relaxation's minimiser, and the first
-pass takes no face step.  Any other relaxation starts at its projected hint.
+_gp_loop only iterates from it.  solve_convex starts a relaxation at its
+minimiser in closed form (_face_minimiser) whenever that lies strictly inside
+the box: the free minimiser when its sum lies in the window, else the
+minimiser on the hyperplane of the window end it violates (an equality
+window's one hyperplane), each one product with a full-face inverse plus one
+refinement step.  No box bound is active there, so it is the relaxation's
+minimiser, and the first pass takes no face step.  Any other relaxation
+starts at its projected hint.
 
 The face systems come from a face table (_full_face), which a solve_convex
 call makes for itself or branch and bound shares across one solve's
@@ -238,35 +240,70 @@ def _face_step(problem, fset, x, g, faces):
 
 
 def _face_minimiser(problem, fset, faces):
-    """The minimiser of an equality window's relaxation, from its full face; or None.
+    """The minimiser of a relaxation, from its full face; or None.
 
-    With lo == hi, the minimiser of f_L on the full face solves
-    K [x; nu] = [-lin; lo], K the bordered system of the table faces
-    (_full_face), by K^-1 with one refinement step.  It is returned only
-    when every coordinate is strictly inside (0, 1) (margin 1e-12) and it
-    lies in fset to 1e-9: the gradient there is -nu 1 and no box bound is
-    active, so it satisfies the KKT conditions of the convex relaxation.
-    None when lo < hi, n == 0, K is singular, or the point leaves the box.
-    A point already outside the box by more than 1e-4 before the refinement
-    is declined after one product: the refinement moves far less than that
-    on any system K^-1 solves well, and declining is always safe, since
-    solve_convex then starts from the projected hint.
+    With H = 2 (Diag(lam) - M), f_L's gradient is lin + H x.  When lo < hi,
+    the free minimiser solves H x = -lin, by the inverse of the table faces'
+    unbordered system (_full_face) with one refinement step (_solve).  If
+    lo <= sum(x) <= hi, no constraint is active at x, and x is returned when
+    it is inside the box and its gradient is of rounding size,
+    1e-9 max(1, |H|_inf / 2) in norm.  Otherwise f_L, convex, is least over
+    the half-space of the violated end at a point of its hyperplane
+    sum(x) = end (end = lo when sum(x) < lo, else hi): the segment from any
+    point of the half-space to the free minimiser crosses the hyperplane,
+    and f_L does not rise along it.  That point, and with lo == hi the
+    minimiser itself, solves K [x; nu] = [-lin; end], K the bordered
+    system, where the gradient is -nu 1.  With lo < hi, nu must have the
+    sign the end needs (nu <= 0 at lo, nu >= 0 at hi), or the point is
+    declined.
+
+    A point is returned only when every coordinate is strictly inside (0, 1)
+    (margin 1e-12) and it lies in fset to 1e-9: no box bound is active, so
+    it satisfies the KKT conditions of the convex relaxation and is its
+    minimiser.  None when n == 0, the bordered system it needs is singular,
+    or the point leaves the box.  A bordered point already outside the box
+    by more than 1e-4 before the refinement is declined after one product:
+    the refinement moves far less than that on any system an inverse solves
+    well.  Declining is always safe: solve_convex then starts from the
+    projected hint, and the certificate holds at any feasible iterate, so a
+    wrong acceptance could cost tightness, never soundness.
     """
     n = problem.n
-    if n == 0 or problem.lo != problem.hi:
+    if n == 0:
         return None
+    lo, hi = float(problem.lo), float(problem.hi)
+    end = lo
+    if lo < hi:
+        h, _, inv = _full_face(problem, faces, False)
+        z = _solve(h, inv, -problem.lin)
+        s = float(np.add.reduce(z))
+        if lo <= s <= hi:
+            if not _strictly_inside(z, fset):
+                return None
+            # a near-singular H, as at a root whose shift is tight, can leave
+            # a gradient above rounding, where z is no minimiser
+            g = problem.lin + h @ z
+            tol = 5e-10 * max(2.0, np.linalg.norm(h, np.inf))
+            return z if math.sqrt(g @ g) <= tol else None
+        end = lo if s < lo else hi
     _, kkt, inv = _full_face(problem, faces, True)
     if inv is None:
         return None
-    rhs = np.concatenate((-problem.lin, (float(problem.lo),)))
+    rhs = np.concatenate((-problem.lin, (end,)))
     z = inv @ rhs
     if not (np.minimum.reduce(z[:n]) > -1e-4 and np.maximum.reduce(z[:n]) < 1.0 + 1e-4):
         return None
-    x = (z - inv @ (kkt @ z - rhs))[:n]
-    if np.minimum.reduce(x) > 1e-12 and np.maximum.reduce(x) < 1.0 - 1e-12 \
-            and fset.contains(x, 1e-9):
-        return x
-    return None
+    z -= inv @ (kkt @ z - rhs)
+    if lo < hi and (z[n] > 0.0 if end == lo else z[n] < 0.0):
+        return None  # the end's multiplier has the wrong sign
+    x = z[:n]
+    return x if _strictly_inside(x, fset) else None
+
+
+def _strictly_inside(x, fset):
+    """x strictly inside (0, 1) (margin 1e-12) and in fset to 1e-9."""
+    return bool(np.minimum.reduce(x) > 1e-12 and np.maximum.reduce(x) < 1.0 - 1e-12
+                and fset.contains(x, 1e-9))
 
 
 def _full_face(problem, faces, on_budget):
@@ -415,8 +452,9 @@ def solve_convex(rel: ReducedQp, x0=None, tol: float = RESIDUAL_TOL,
                  _faces: dict | None = None):
     """Minimize the convex relaxation; returns (report, certified lower bound).
 
-    x0 is a hint: the solve starts at _face_minimiser's point when that
-    accepts one, else at x0 projected, or the box centre when x0 is None.  A
+    x0 is a hint: the solve starts at _face_minimiser's point, the
+    relaxation's minimiser in closed form, when that accepts one, else at x0
+    projected, or the box centre when x0 is None.  A
     hint of the wrong shape or not finite raises ValueError, used or not.
     The objective is monotone nonincreasing across accepted steps, face
     steps included: each is feasible and, on this convex quadratic, moves

@@ -1,5 +1,5 @@
 """Property tests for the relaxation's face step (qpcut.projgrad._face_step)
-and for the face minimiser an equality window starts at (_face_minimiser),
+and for the face minimiser a relaxation starts at (_face_minimiser),
 whatever start hint solve_convex is given.
 
 Each step starts from a feasible point x of a node relaxation.  Its face
@@ -119,11 +119,11 @@ def test_face_step_ends_on_a_face_minimiser_or_on_the_bound_it_hit(kind, data):
         x = y
 
 
-def null_space_minimiser(rel):
-    """The minimiser of f_L on the hyperplane sum(x) = lo and the condition
+def null_space_minimiser(rel, end):
+    """The minimiser of f_L on the hyperplane sum(x) = end and the condition
     number of its reduced Hessian, by a null-space basis of the budget row."""
     n = rel.n
-    xp = np.full(n, rel.lo / n)
+    xp = np.full(n, end / n)
     if n == 1:  # the hyperplane is one point
         return xp, 1.0
     basis = tangent_basis(np.arange(n), True)
@@ -135,36 +135,62 @@ def null_space_minimiser(rel):
 @pytest.mark.parametrize("kind", ["sdp", "eig"])
 @given(data=st.data())
 def test_an_accepted_face_minimiser_is_an_interior_kkt_point(kind, data):
-    # an accepted start lies in the set, strictly inside the box, on the
-    # budget hyperplane, with a gradient that is constant up to rounding
+    # an accepted start lies in the set, strictly inside the box, with its sum
+    # in the window.  Strictly inside the window its gradient vanishes up to
+    # rounding.  On a window end the gradient is constant, mu 1 up to
+    # rounding, with the sign that end needs when lo < hi: mu >= 0 at lo,
+    # where f_L must not fall as the sum grows, and mu <= 0 at hi
     _, rel, _, _ = data.draw(node_problems(kind))
     x = _face_minimiser(rel, rel.fset, {})
     if x is None:
         return
-    n = rel.n
-    assert rel.lo == rel.hi and rel.fset.contains(x, 1e-9)
+    n, lo, hi = rel.n, rel.lo, rel.hi
+    s, slack = x.sum(), 1e-12 * n
+    assert rel.fset.contains(x, 1e-9)
     assert x.min() > MARGIN and x.max() < 1.0 - MARGIN
-    assert abs(x.sum() - rel.lo) <= 1e-12 * n
+    assert lo - slack <= s <= hi + slack
     g = rel.grad(x)
     scale = max(1.0, float(np.abs(np.diag(rel.lam) - rel.M).sum(axis=1).max()))
-    assert np.linalg.norm(g - g.mean()) <= 1e-9 * scale
+    tol = 1e-9 * scale
+    at_lo, at_hi = abs(s - lo) <= slack, abs(s - hi) <= slack
+    if not (at_lo or at_hi):
+        assert np.linalg.norm(g) <= tol
+        return
+    assert np.linalg.norm(g - g.mean()) <= tol
+    if lo < hi:
+        assert g.mean() >= -tol if at_lo else g.mean() <= tol
 
 
 @pytest.mark.parametrize("kind", ["sdp", "eig"])
 @given(data=st.data())
 def test_face_minimiser_is_the_null_space_minimiser_when_that_is_inside(kind, data):
-    # None for a window lo < hi.  With lo == hi and a well-conditioned
-    # reduced Hessian, the minimiser found here decides: well inside the box
-    # the start is that point, well outside there is none
+    # With a well-conditioned Hessian, the minimiser found here decides: well
+    # inside the box the start is that point, well outside there is none.
+    # With lo < hi that is the free minimiser when its sum lies in the window,
+    # and otherwise the minimiser on the hyperplane of the end it violates,
+    # whose multiplier sign is sure only well away from the free minimiser's
+    # window; with lo == hi, the minimiser on that hyperplane
     _, rel, _, _ = data.draw(node_problems(kind))
     x = _face_minimiser(rel, rel.fset, {})
-    if rel.lo < rel.hi or rel.n == 0:
+    if rel.n == 0:
         assert x is None
         return
-    z, cond = null_space_minimiser(rel)
-    if cond > 1e8:
-        return
-    room = min(z.min(), 1.0 - z.max())
+    lo, hi = rel.lo, rel.hi
+    end, room = lo, np.inf
+    if lo < hi:
+        h = 2.0 * (np.diag(rel.lam) - rel.M)
+        if np.linalg.cond(h) > 1e8:
+            return
+        z = np.linalg.solve(h, -rel.lin)
+        s = z.sum()
+        inside = min(s - lo, hi - s)  # sum(z)'s distance into the window
+        end = None if inside >= 0.0 else lo if s < lo else hi
+        room = abs(inside)
+    if end is not None:
+        z, cond = null_space_minimiser(rel, end)
+        if cond > 1e8:
+            return
+    room = min(room, z.min(), 1.0 - z.max())
     if room > 1e-6:
         assert x is not None and np.abs(x - z).max() <= 1e-6
     elif room < -1e-6:
@@ -183,17 +209,13 @@ def equality_cuts(draw, max_n=10):
     return qc.WeightedGraph(w + w.T), qc.PartitionSpec(lo, lo)
 
 
-@given(data=st.data())
-def test_an_accepted_face_minimiser_makes_the_hint_unused(data):
-    # where the face minimiser is taken, solve_convex never projects its hint:
-    # none, a feasible one and an infeasible finite one give the same report
-    # and bound, each from the one projection that forms the residual of the
-    # first pass, which has converged at the minimiser
-    kind = data.draw(st.sampled_from(["sdp", "eig"]))
-    _, rel, x0, tol = data.draw(node_problems(kind, equality_cuts()))
+def assert_hint_unused(rel, x0, tol, shift):
+    """Where the face minimiser is taken, solve_convex never projects its hint:
+    none, the feasible x0 and the infeasible finite x0 + shift give the same
+    report and bound, each from the one projection that forms the residual of
+    the first pass, which has converged at the minimiser."""
     if _face_minimiser(rel, rel.fset, {}) is None:
         return
-    shift = data.draw(st.sampled_from([-1.0, 2.0]))
     solves = []
     for hint in (None, x0, x0 + shift):
         with counted_projections() as calls:
@@ -205,16 +227,40 @@ def test_an_accepted_face_minimiser_makes_the_hint_unused(data):
     assert solves[0][1:3] == (0, "converged")
 
 
+@given(data=st.data())
+def test_an_accepted_face_minimiser_makes_the_hint_unused(data):
+    # equality windows, which mostly take their face minimiser
+    kind = data.draw(st.sampled_from(["sdp", "eig"]))
+    _, rel, x0, tol = data.draw(node_problems(kind, equality_cuts()))
+    assert_hint_unused(rel, x0, tol, data.draw(st.sampled_from([-1.0, 2.0])))
+
+
+@given(data=st.data())
+def test_an_accepted_window_face_minimiser_makes_the_hint_unused(data):
+    # windows lo < hi, whose start is the free minimiser or one bordered at
+    # the end that minimiser violates; a shift by -1 could land on the window's
+    # vertex 0, so the shifts leave the box by at least 0.5
+    kind = data.draw(st.sampled_from(["sdp", "eig"]))
+    _, rel, x0, tol = data.draw(node_problems(kind))
+    if rel.lo < rel.hi:
+        assert_hint_unused(rel, x0, tol, data.draw(st.sampled_from([-1.5, 2.0])))
+
+
 @pytest.mark.parametrize("delta", [-5e-10, 0.0, 5e-13, 1e-3])
 def test_a_face_minimiser_on_the_box_boundary_is_declined(delta):
-    # f_L = lin . x + x^T x on sum(x) = 1, with lin = -2 z, is least at z =
-    # (delta, (1 - delta) / 2, (1 - delta) / 2).  The start must be strictly
-    # inside the box: fset.contains alone, to 1e-9, would admit delta = -5e-10
+    # f_L = lin . x + x^T x, with lin = -2 w, has its free minimiser at w and,
+    # on sum(x) = 1, is least at w + (1 - sum(w)) / 3.  Each window below has
+    # its minimiser at z = (delta, (1 - delta) / 2, (1 - delta) / 2), sum 1:
+    # the equality window [1, 1] (w = z); a window holding sum(z) (w = z, the
+    # free minimiser); and windows whose lo or hi is 1 with w = z -+ 0.1, left
+    # of lo or right of hi.  The start must be strictly inside the box:
+    # fset.contains alone, to 1e-9, would admit delta = -5e-10
     z = np.array([delta, (1.0 - delta) / 2, (1.0 - delta) / 2])
-    rel = ReducedQp(free=np.arange(3), M=np.zeros((3, 3)), lin=-2.0 * z, const=0.0,
-                    lo=1, hi=1, lam=np.ones(3))
-    x = _face_minimiser(rel, rel.fset, {})
-    if delta > MARGIN:
-        assert np.abs(x - z).max() <= 1e-15
-    else:
-        assert x is None
+    for w, lo, hi in ((z, 1, 1), (z, 0, 2), (z - 0.1, 1, 2), (z + 0.1, 0, 1)):
+        rel = ReducedQp(free=np.arange(3), M=np.zeros((3, 3)), lin=-2.0 * w, const=0.0,
+                        lo=lo, hi=hi, lam=np.ones(3))
+        x = _face_minimiser(rel, rel.fset, {})
+        if delta > MARGIN:
+            assert np.abs(x - z).max() <= 1e-15, (lo, hi)
+        else:
+            assert x is None, (lo, hi)

@@ -137,12 +137,16 @@ def test_solve_convex_monotone_and_stopping():
 
 
 def test_solve_convex_projects_an_infeasible_hint(monkeypatch):
-    # x0 is a hint: where the face minimiser declines (here a window lo < hi)
-    # the loop starts at its projection.  A hint of the wrong shape or with a
+    # x0 is a hint: where the face minimiser declines the loop starts at its
+    # projection.  Here that is a window lo < hi whose free minimiser, w with
+    # f_L = lin . x + x^T x and lin = -2 w, has its sum inside the window and
+    # a coordinate outside the box.  A hint of the wrong shape or with a
     # non-finite entry raises, also on an equality window whose face
     # minimiser is taken (that of
     # test_a_face_minimiser_on_the_box_boundary_is_declined).
-    window = relaxation(qc.make_qp(path_graph(3), qc.PartitionSpec(1, 2)))
+    w = np.array([-0.5, 0.75, 0.75])
+    window = qc.ReducedQp(free=np.arange(3), M=np.zeros((3, 3)), lin=-2.0 * w, const=0.0,
+                          lo=1, hi=2, lam=np.ones(3))
     z = np.array([0.2, 0.4, 0.4])
     equality = qc.ReducedQp(free=np.arange(3), M=np.zeros((3, 3)), lin=-2.0 * z, const=0.0,
                             lo=1, hi=1, lam=np.ones(3))
@@ -301,10 +305,12 @@ def test_relaxations_below_the_rounding_level_stop_within_a_few_iterations(tol):
 
 
 def test_each_stop_reason_is_reached_and_reported():
-    # seed 2's root relaxation, from a start that is far from stationary even
-    # after iteration 0's face step, which that pass checks and certifies
+    # a child of seed 2's root (window [0, 4]), whose face minimiser declines,
+    # from a start that is far from stationary even after iteration 0's face
+    # step, which that pass checks and certifies
     qp = seeded_qp(2)
-    rel = qc.build_relaxation(qc.reduce(qp, ()), qc.sdp_shift(qp.M))
+    rel = qc.build_relaxation(qc.reduce(qp, (1,)), qc.sdp_shift(qp.M))
+    assert rel.lo < rel.hi and projgrad._face_minimiser(rel, rel.fset, {}) is None
     x0 = qc.project(np.linspace(0.0, 1.0, rel.n), rel.fset)
     x1 = projgrad._face_step(rel, rel.fset, x0, rel.grad(x0), {})
     assert x1 is not None and exact_residual(rel.grad, x1, rel.fset) > 1.0
@@ -499,11 +505,15 @@ def test_a_zero_step_stops_on_its_exact_residual():
 
 
 def test_a_negative_iteration_cap_is_rejected_by_both_solvers():
-    # a start that iteration 0 does not stop, so a cap below 0 is never met
-    g = qc.gen_random(8, 0.8, 1)
-    qp = qc.make_qp(g, qc.PartitionSpec(2, 6))
+    # a start that iteration 0 does not stop, so a cap below 0 is never met,
+    # on a relaxation whose face minimiser declines: its minimiser, the box
+    # centre, lies on hi = 4 with a multiplier of rounding size and the wrong
+    # sign
+    g = qc.gen_random(8, 0.8, 4)
+    qp = qc.make_qp(g, qc.PartitionSpec(2, 4))
     red = qc.reduce(qp, ())
     rel = qc.build_relaxation(red, qc.sdp_shift(qp.M))
+    assert projgrad._face_minimiser(rel, rel.fset, {}) is None
     x0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert not qc.solve_convex(rel, x0, max_iter=0)[0].converged
     assert not qc.descend_nonconvex(red, x0, max_iter=0).converged
